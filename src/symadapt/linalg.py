@@ -1,11 +1,14 @@
-"""Exact rational linear algebra: RREF, kernels, integer eigenspaces,
+"""Exact linear algebra over the integers: kernels, integer eigenspaces,
 restriction to invariant subspaces, and subspace intersection.
 
-All arithmetic is exact.  Elimination runs fraction-free over Python
-integers with per-row gcd reduction; results are normalized to Fraction
-rows with leading entry 1 only at the boundary, so a Subspace in reduced
-row echelon form is a canonical object and subspace equality is plain
-structural equality.
+A Subspace holds its basis as primitive integer rows in reduced row
+echelon form: every row has gcd 1 and a positive pivot entry, and is
+zero in the pivot columns of the other rows.  That form is canonical, so
+subspace equality is plain structural equality.  Elimination runs
+fraction-free over Python integers with per-row gcd reduction, and no
+internal step forms a Fraction.  Fractions appear only at the public
+edge: rref(), restrict() and Subspace.coords() return them, and kernel(),
+eigenspace() and Subspace.from_rows() accept rational input.
 """
 from __future__ import annotations
 
@@ -15,20 +18,24 @@ from typing import Callable, Sequence
 
 from .young import content_sum, partitions
 
+IntRow = tuple[int, ...]
 Row = tuple[Fraction, ...]
 Matrix = Sequence[Sequence]
 
 
 class NotInvariantError(ValueError):
-    """An operator mapped a subspace outside itself; carries a witness vector."""
+    """An operator mapped a subspace outside itself; carries a witness vector:
+    the image of a basis row that left the subspace."""
 
-    def __init__(self, message: str, witness: tuple[Fraction, ...]):
+    def __init__(self, message: str, witness: tuple[int, ...]):
         super().__init__(message)
         self.witness = witness
 
 
 def row_to_int(row: Sequence) -> list[int]:
     """Scale a rational row to integers (per-row lcm of denominators)."""
+    if set(map(type, row)) <= {int}:
+        return list(row)
     den = 1
     for x in row:
         if isinstance(x, Fraction):
@@ -89,30 +96,37 @@ def _jordan(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     return rows, pivots
 
 
-def _normalized_rows(rows: list[list[int]], pivots: list[int]) -> tuple[Row, ...]:
+def _canonical(rows: list[list[int]]) -> tuple[tuple[IntRow, ...], tuple[int, ...]]:
+    """Primitive integer RREF rows of the span of ``rows``, and their pivots."""
+    red, pivots = _jordan(rows)
     out = []
-    for row, p in zip(rows, pivots):
-        lead = row[p]
-        out.append(tuple(Fraction(a, lead) for a in row))
-    return tuple(out)
+    for row, p in zip(red, pivots):
+        g = gcd(*row)
+        if row[p] < 0:
+            g = -g
+        out.append(tuple(row) if g == 1 else tuple([a // g for a in row]))
+    return tuple(out), tuple(pivots)
 
 
 def rref(matrix: Matrix) -> tuple[tuple[Row, ...], int]:
     """Reduced row echelon form and rank, both exact.
 
     The result has the same number of rows as the input (zero rows sink
-    to the bottom) and rank equals the number of pivots.
+    to the bottom), every pivot entry is 1, and rank equals the number of
+    pivots.
     """
     rows = [row_to_int(r) for r in matrix]
     red, pivots = _jordan(rows)
     ncols = len(rows[0]) if rows else 0
+    out = [tuple(Fraction(a, row[p]) for a in row) for row, p in zip(red, pivots)]
     zero = tuple(Fraction(0) for _ in range(ncols))
-    out = _normalized_rows(red, pivots) + tuple(zero for _ in range(len(rows) - len(pivots)))
-    return out, len(pivots)
+    out.extend(zero for _ in range(len(rows) - len(pivots)))
+    return tuple(out), len(pivots)
 
 
-def kernel(matrix: Matrix, ncols: int | None = None) -> tuple[Row, ...]:
-    """A canonical (RREF) basis of the right nullspace of ``matrix``.
+def kernel(matrix: Matrix, ncols: int | None = None) -> tuple[IntRow, ...]:
+    """A canonical basis of the right nullspace of ``matrix``: primitive
+    integer rows in reduced row echelon form, each with a positive pivot.
 
     ``ncols`` must be given when the matrix has no rows.
     """
@@ -126,51 +140,54 @@ def kernel(matrix: Matrix, ncols: int | None = None) -> tuple[Row, ...]:
     free = [c for c in range(ncols) if c not in pivset]
     if not free:
         return ()
-    basis: list[list[Fraction]] = []
+    basis: list[list[int]] = []
     for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for row, p in zip(red, pivots):
-            if row[f]:
-                v[p] = Fraction(-row[f], row[p])
+        # x_f = scale and x_p = -row[f] * scale / row[p] solves every pivot row
+        hits = [(row, p) for row, p in zip(red, pivots) if row[f]]
+        scale = lcm(*(row[p] for row, p in hits))
+        v = [0] * ncols
+        v[f] = scale
+        for row, p in hits:
+            v[p] = -row[f] * (scale // row[p])
         basis.append(v)
-    ints = [row_to_int(v) for v in basis]
-    red2, piv2 = _jordan(ints)
-    return _normalized_rows(red2, piv2)
+    return _canonical(basis)[0]
 
 
 class Subspace:
-    """A subspace of Q^ambient held as a canonical RREF row basis.
+    """A subspace of Q^ambient held as a canonical integer row basis.
 
-    Rows are linearly independent with strictly increasing pivot columns
-    and leading entry 1, so two Subspace objects are equal exactly when
-    they describe the same subspace.
+    Rows are primitive integer rows (gcd 1, positive pivot entry) in
+    reduced row echelon form, with strictly increasing pivot columns, so
+    two Subspace objects are equal exactly when they describe the same
+    subspace.  The rows themselves are the basis that coordinates and
+    restricted blocks refer to.
     """
 
-    __slots__ = ("ambient", "rows", "pivots", "_int_rows")
+    __slots__ = ("ambient", "rows", "pivots")
 
-    def __init__(self, ambient: int, rows: tuple[Row, ...], pivots: tuple[int, ...]):
+    def __init__(self, ambient: int, rows: tuple[IntRow, ...], pivots: tuple[int, ...]):
         self.ambient = ambient
         self.rows = rows
         self.pivots = pivots
-        self._int_rows: tuple[tuple[int, ...], ...] | None = None
 
     @classmethod
     def from_rows(cls, ambient: int, rows: Matrix) -> "Subspace":
-        """Span of arbitrary rows, canonicalized."""
+        """Span of arbitrary (integer or rational) rows, canonicalized."""
         ints = [row_to_int(r) for r in rows]
         for row in ints:
             if len(row) != ambient:
                 raise ValueError(f"row length {len(row)} != ambient {ambient}")
-        red, pivots = _jordan(ints)
-        return cls(ambient, _normalized_rows(red, pivots), tuple(pivots))
+        return cls(ambient, *_canonical(ints))
+
+    @classmethod
+    def from_kernel(cls, ambient: int, rows: tuple[IntRow, ...]) -> "Subspace":
+        """Wrap rows that are already canonical, as kernel() returns them."""
+        return cls(ambient, rows, tuple(next(t for t, x in enumerate(r) if x) for r in rows))
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
-        one = Fraction(1)
-        zero = Fraction(0)
         rows = tuple(
-            tuple(one if j == i else zero for j in range(ambient)) for i in range(ambient)
+            tuple(1 if j == i else 0 for j in range(ambient)) for i in range(ambient)
         )
         return cls(ambient, rows, tuple(range(ambient)))
 
@@ -183,18 +200,15 @@ class Subspace:
         return len(self.rows)
 
     @property
-    def int_rows(self) -> tuple[tuple[int, ...], ...]:
-        """The basis scaled to primitive integer rows; row j has its pivot
-        entry equal to the lcm of the denominators of row j."""
-        if self._int_rows is None:
-            self._int_rows = tuple(tuple(row_to_int(r)) for r in self.rows)
-        return self._int_rows
+    def leads(self) -> tuple[int, ...]:
+        """The pivot entry of each basis row."""
+        return tuple(row[p] for row, p in zip(self.rows, self.pivots))
 
     def coords(self, vec: Sequence) -> tuple[Fraction, ...] | None:
         """Coordinates of ``vec`` in the row basis, or None if outside."""
         if len(vec) != self.ambient:
             raise ValueError(f"vector length {len(vec)} != ambient {self.ambient}")
-        coeffs = tuple(Fraction(vec[p]) for p in self.pivots)
+        coeffs = tuple(Fraction(vec[p]) / row[p] for row, p in zip(self.rows, self.pivots))
         residual = [Fraction(x) for x in vec]
         for a, row in zip(coeffs, self.rows):
             if a:
@@ -222,10 +236,6 @@ class Subspace:
         return f"Subspace(ambient={self.ambient}, dim={self.dim})"
 
 
-def matvec(matrix: Matrix, vec: Sequence) -> list:
-    return [sum(a * x for a, x in zip(row, vec) if a) for row in matrix]
-
-
 def eigenspace(matrix: Matrix, nu: int) -> Subspace:
     """Kernel of (M - nu*I) as a canonical Subspace; empty when nu is not
     an eigenvalue.  ``matrix`` must be square with exact entries."""
@@ -234,17 +244,8 @@ def eigenspace(matrix: Matrix, nu: int) -> Subspace:
     for i, row in enumerate(matrix):
         if len(row) != d:
             raise ValueError("eigenspace needs a square matrix")
-        den = 1
-        for x in row:
-            if isinstance(x, Fraction):
-                den = lcm(den, x.denominator)
-        # the diagonal shift happens before the (kernel-preserving) row scaling
-        shifted = [int(x * den) for x in row] if den != 1 else [int(x) for x in row]
-        shifted[i] -= nu * den
-        rows.append(shifted)
-    ker = kernel(rows, d)
-    pivots = tuple(next(t for t, x in enumerate(r) if x) for r in ker)
-    return Subspace(d, ker, pivots)
+        rows.append([x - nu if t == i else x for t, x in enumerate(row)])
+    return Subspace.from_kernel(d, kernel(rows, d))
 
 
 def candidate_eigenvalues(k: int) -> tuple[int, ...]:
@@ -263,86 +264,84 @@ def restrict_apply(
     apply_int: Callable[[Sequence[int]], list[int]],
     space: Subspace,
     label: str = "operator",
-) -> tuple[Row, ...]:
-    """Matrix of a linear map in the row basis of an invariant subspace.
+) -> tuple[IntRow, ...]:
+    """Integer block A of a linear map on an invariant subspace.
 
-    ``apply_int`` must be the integer-preserving action of the operator on
-    ambient coordinate vectors.  Raises NotInvariantError (with the image
-    that escaped) when the subspace is not invariant.
+    ``apply_int`` must be the integer-preserving action of the operator M
+    on ambient coordinate vectors.  With basis rows z_i, pivots p_i and
+    pivot entries l_i (``space.leads``), write M z_j = sum_i B[i][j] z_i.
+    Every other basis row is zero in column p_i, so
+    A[i][j] = (M z_j)[p_i] = l_i * B[i][j]: the matrix of M in the row
+    basis is diag(leads)^-1 A, and A is read off without any division.
 
-    All vector arithmetic stays over the integers: the running residual z
-    carries an explicit scale factor, multiplied up by each basis row's
-    pivot denominator as that row is peeled off.
+    Invariance is checked exactly over the integers, with L = lcm(leads):
+    L * M z_j must equal sum_i A[i][j] * (L / l_i) * z_i.  Raises
+    NotInvariantError (with the image that escaped) when it does not.
     """
-    zrows = space.int_rows
+    rows = space.rows
     pivots = space.pivots
-    d = space.dim
-    cols: list[tuple[Fraction, ...]] = []
-    for j in range(d):
-        lead_j = zrows[j][pivots[j]]
-        image = apply_int(zrows[j])  # image of lead_j * (basis row j)
-        z = list(image)
-        scale = 1
-        coeffs: list[Fraction] = []
-        for zr, p in zip(zrows, pivots):
-            c = z[p]
-            coeffs.append(Fraction(c, scale * lead_j))
-            if c:
-                lead = zr[p]
-                z = [lead * a - c * b for a, b in zip(z, zr)]
-                scale *= lead
+    leads = space.leads
+    big = lcm(*leads)
+    # (column, (L / l_i) * entry) over the nonzero entries of each row:
+    # chain eigenspace rows are mostly zeros
+    support = [
+        [(t, (big // lead) * x) for t, x in enumerate(row) if x]
+        for lead, row in zip(leads, rows)
+    ]
+    cols: list[list[int]] = []
+    for row in rows:
+        image = apply_int(row)
+        col = [image[p] for p in pivots]
+        z = [big * x for x in image]
+        for a, nonzero in zip(col, support):
+            if a:
+                for t, x in nonzero:
+                    z[t] -= a * x
         if any(z):
-            witness = tuple(Fraction(x, lead_j) for x in image)
             raise NotInvariantError(
-                f"{label} does not leave the subspace invariant", witness
+                f"{label} does not leave the subspace invariant", tuple(image)
             )
-        cols.append(tuple(coeffs))
-    return tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
+        cols.append(col)
+    return tuple(zip(*cols))
 
 
 def restrict(matrix: Matrix, space: Subspace) -> tuple[Row, ...]:
-    """Matrix of ``matrix`` in the row basis of ``space`` (must be invariant)."""
+    """Matrix of ``matrix`` in the row basis of ``space`` (must be invariant).
+
+    ``matrix`` must have integer entries; a non-integer entry raises
+    ValueError.
+    """
     d = len(matrix)
     if space.ambient != d:
         raise ValueError(f"ambient mismatch: matrix {d}, subspace {space.ambient}")
-    int_matrix = [row_to_int(r) for r in matrix]
-    dens = []
-    for row, int_row in zip(matrix, int_matrix):
-        den = 1
-        for x in row:
-            if isinstance(x, Fraction):
-                den = lcm(den, x.denominator)
-        dens.append(den)
-    if all(den == 1 for den in dens):
-        def apply_int(vec):
-            return [sum(a * x for a, x in zip(row, vec) if a) for row in int_matrix]
+    int_matrix = []
+    for i, row in enumerate(matrix):
+        ints = [int(x) for x in row]
+        if ints != list(row):
+            raise ValueError(f"restrict needs an integer matrix; row {i} is {tuple(row)}")
+        int_matrix.append(ints)
 
-        return restrict_apply(apply_int, space, "matrix")
-    # rational matrix: fall back to Fraction arithmetic through coords()
-    cols = []
-    for row_vec in space.rows:
-        image = matvec(matrix, row_vec)
-        coeffs = space.coords(image)
-        if coeffs is None:
-            raise NotInvariantError(
-                "matrix does not leave the subspace invariant", tuple(image)
-            )
-        cols.append(coeffs)
-    k = space.dim
-    return tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
+    def apply_int(vec):
+        return [sum(a * x for a, x in zip(row, vec) if a) for row in int_matrix]
+
+    block = restrict_apply(apply_int, space, "matrix")
+    return tuple(
+        tuple(Fraction(a, lead) for a in row) for row, lead in zip(block, space.leads)
+    )
 
 
-def eigenrows_of_block(block: tuple[Row, ...], nu: int) -> tuple[Row, ...]:
-    """Kernel rows of (block - nu*I) for a small rational matrix."""
-    d = len(block)
+def eigenrows_of_block(
+    block: Sequence[Sequence[int]], leads: Sequence[int], nu: int
+) -> tuple[IntRow, ...]:
+    """Kernel rows of (A - nu*diag(leads)) for an integer block A read by
+    restrict_apply: the coordinates, in the same row basis, of the
+    nu-eigenvectors of the restricted map diag(leads)^-1 A."""
     rows = []
-    for i, row in enumerate(block):
-        den = 1
-        for x in row:
-            if isinstance(x, Fraction):
-                den = lcm(den, x.denominator)
-        rows.append([int(x * den) - (nu * den if t == i else 0) for t, x in enumerate(row)])
-    return kernel(rows, d)
+    for i, (row, lead) in enumerate(zip(block, leads)):
+        shifted = list(row)
+        shifted[i] -= nu * lead
+        rows.append(shifted)
+    return kernel(rows, len(rows))
 
 
 def intersect(s1: Subspace, s2: Subspace) -> Subspace:
@@ -356,9 +355,7 @@ def intersect(s1: Subspace, s2: Subspace) -> Subspace:
     stacked = tuple(comp1) + tuple(comp2)
     if not stacked:
         return Subspace.full(n)
-    rows = kernel(stacked, n)
-    pivots = tuple(next(t for t, x in enumerate(r) if x) for r in rows)
-    return Subspace(n, rows, pivots)
+    return Subspace.from_kernel(n, kernel(stacked, n))
 
 
 __all__ = [
@@ -368,7 +365,6 @@ __all__ = [
     "Subspace",
     "rref",
     "kernel",
-    "matvec",
     "eigenspace",
     "candidate_eigenvalues",
     "restrict",

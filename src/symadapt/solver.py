@@ -12,13 +12,16 @@ All the chain operators commute with one another, so the refinement is
 computed cheapest-first (ascending k, where the early splits are nearly
 free) and the resulting partition is identical to refining from C(n)
 downwards; leaves are then labeled and ordered in the descending-chain
-convention.
+convention.  Ascending order also means every leaf already carries the
+shape of S_{k-1} when C(k) splits it, so the split tries only the
+eigenvalues the branching rule leaves open (see _branching_candidates);
+the dimension count after each split proves that none was missed.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Sequence
 
 from .configs import OrbitBasis
@@ -41,7 +44,7 @@ from .operators import (
     state_maps,
 )
 from .perm import Permutation, subgroup_transpositions, transposition
-from .young import StandardTableau, tableau_from_chain
+from .young import StandardTableau, addable_corners, tableau_from_chain
 
 StateOp = tuple[tuple[int, int], ...]
 
@@ -97,20 +100,16 @@ class CGTable:
 
 
 def normalize(vec: Sequence) -> tuple[tuple[int, ...], int]:
-    """Clear denominators, divide by the gcd, make the first nonzero entry
-    positive, and return (coeffs, sum of squares)."""
-    fracs = [Fraction(x) for x in vec]
-    if not any(fracs):
+    """Divide by the gcd, make the first nonzero entry positive, and return
+    (coeffs, sum of squares).  Rational entries are cleared first."""
+    ints = row_to_int(vec)
+    g = gcd(*ints)
+    if not g:
         raise ValueError("cannot normalize the zero vector")
-    ints = row_to_int(fracs)
-    g = 0
-    for a in ints:
-        g = gcd(g, a)
-    ints = [a // g for a in ints]
-    lead = next(a for a in ints if a)
-    if lead < 0:
-        ints = [-a for a in ints]
-    return tuple(ints), sum(a * a for a in ints)
+    if next(a for a in ints if a) < 0:
+        g = -g
+    coeffs = tuple(a // g for a in ints)
+    return coeffs, sum(a * a for a in coeffs)
 
 
 def default_state_ops(basis: OrbitBasis) -> list[StateOp]:
@@ -136,74 +135,86 @@ class _Leaf:
     remainder: bool = False
 
 
-def _lift(coord_rows: Sequence[Sequence[Fraction]], space: Subspace) -> Subspace:
-    """Map rows of coordinates in ``space``'s basis back to ambient rows."""
-    zrows = space.int_rows
-    leads = [zr[p] for zr, p in zip(zrows, space.pivots)]
+def _lift(coord_rows: Sequence[Sequence[int]], space: Subspace) -> Subspace:
+    """Span of integer coordinate rows over ``space``'s basis rows."""
+    if space.dim == space.ambient:
+        return Subspace.from_kernel(space.ambient, tuple(coord_rows))
+    support = [[(t, x) for t, x in enumerate(row) if x] for row in space.rows]
     out = []
     for crow in coord_rows:
-        c_int = row_to_int(crow)
-        scale = 1
-        for cj, lead in zip(c_int, leads):
-            if cj:
-                scale = lcm(scale, lead)
         acc = [0] * space.ambient
-        for cj, lead, zr in zip(c_int, leads, zrows):
-            if cj:
-                f = cj * (scale // lead)
-                for t, v in enumerate(zr):
-                    if v:
-                        acc[t] += f * v
+        for c, nonzero in zip(crow, support):
+            if c:
+                for t, x in nonzero:
+                    acc[t] += c * x
         out.append(acc)
     return Subspace.from_rows(space.ambient, out)
 
 
+def _block(space: Subspace, maps: Sequence[tuple[int, ...]], label: str) -> tuple:
+    """Integer block of a sum of ket permutations on an invariant subspace
+    (see restrict_apply); raises NotInvariantError when it is not invariant."""
+    if space.dim == space.ambient:
+        return maps_to_matrix(maps, space.ambient)
+    return restrict_apply(lambda v: apply_maps(maps, v), space, label)
+
+
 def _split(
-    space: Subspace, maps: Sequence[tuple[int, ...]], cands: Sequence[int], label: str
+    space: Subspace, block: tuple, cands: Sequence[int]
 ) -> tuple[list[tuple[int, Subspace]], int]:
-    """Split an invariant subspace into integer eigenspaces of an operator.
+    """Split an invariant subspace into integer eigenspaces of an operator,
+    given the operator's integer block on it (see _block).
 
     Returns the (eigenvalue, subspace) children in candidate order plus the
     total dimension found; callers decide whether a shortfall is legal.
     """
-    if space.dim == space.ambient:
-        block: tuple = maps_to_matrix(maps, space.ambient)
-    else:
-        block = restrict_apply(lambda v: apply_maps(maps, v), space, label)
+    leads = space.leads
     children = []
     total = 0
     for nu in cands:
-        rows = eigenrows_of_block(block, nu)
+        rows = eigenrows_of_block(block, leads, nu)
         if rows:
-            sub = _lift(rows, space) if space.dim != space.ambient else _canonical(space.ambient, rows)
+            sub = _lift(rows, space)
             children.append((nu, sub))
             total += sub.dim
     return children, total
 
 
-def _canonical(ambient: int, rows: tuple) -> Subspace:
-    pivots = tuple(next(t for t, x in enumerate(r) if x) for r in rows)
-    return Subspace(ambient, rows, pivots)
+def _branching_candidates(cands: Sequence[int], nu_asc: tuple[int, ...]) -> list[int]:
+    """The C(k) eigenvalues open to a leaf labelled nu_asc = (nu_2, ..., nu_{k-1}).
+
+    By the branching rule, a leaf of shape lambda^(k-1) only meets the
+    shapes lambda^(k) that add one box to it, so its C(k) eigenvalue is
+    nu_{k-1} + c for the content c of an addable corner of lambda^(k-1)
+    (with nu_1 = 0).  Candidates keep the descending order of ``cands``.
+    """
+    shape = tableau_from_chain(tuple(reversed(nu_asc))).shape
+    prev = nu_asc[-1] if nu_asc else 0
+    contents = {c for _, c in addable_corners(shape)}
+    return [nu for nu in cands if nu - prev in contents]
 
 
 def _orthogonal_remainder(space: Subspace, children: list[tuple[int, Subspace]]) -> Subspace:
     stacked = [row for _, sub in children for row in sub.rows]
-    comp_rows = kernel(stacked, space.ambient)
-    return intersect(space, _canonical(space.ambient, comp_rows))
+    comp = Subspace.from_kernel(space.ambient, kernel(stacked, space.ambient))
+    return intersect(space, comp)
 
 
-def _gram_schmidt(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    basis: list[list[Fraction]] = []
+def _gram_schmidt(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Fraction-free Gram-Schmidt: v <- (b.b) v - (v.b) b against each
+    earlier b, then divide by the gcd.  Every step scales by a positive
+    integer, so each direction is the one rational Gram-Schmidt gives."""
+    basis: list[tuple[list[int], int]] = []
     for row in rows:
-        v = [Fraction(x) for x in row]
-        for b in basis:
-            num = sum(x * y for x, y in zip(v, b))
-            if num:
-                den = sum(y * y for y in b)
-                f = num / den
-                v = [x - f * y for x, y in zip(v, b)]
-        basis.append(v)
-    return basis
+        v = list(row)
+        for b, bb in basis:
+            vb = _dot(v, b)
+            if vb:
+                v = [bb * x - vb * y for x, y in zip(v, b)]
+                g = gcd(*v)
+                v = [x // g for x in v]
+        basis.append((v, _dot(v, v)))
+    return [v for v, _ in basis]
 
 
 def resolve(basis: OrbitBasis, state_ops: Sequence[Sequence[Sequence[int]]] | None = None) -> CGTable:
@@ -232,11 +243,14 @@ def resolve(basis: OrbitBasis, state_ops: Sequence[Sequence[Sequence[int]]] | No
         new_leaves = []
         for leaf in leaves:
             try:
-                children, total = _split(leaf.space, maps, cands, f"C({k})")
+                block = _block(leaf.space, maps, f"C({k})")
             except NotInvariantError as exc:
                 raise InternalCheckError(
                     f"C({k}) failed to leave a chain eigenspace invariant"
                 ) from exc
+            children, total = _split(
+                leaf.space, block, _branching_candidates(cands, leaf.nu_asc)
+            )
             if total != leaf.space.dim:
                 raise InternalCheckError(
                     f"C({k}) eigenspace dimensions sum to {total}, expected {leaf.space.dim}"
@@ -261,21 +275,12 @@ def resolve(basis: OrbitBasis, state_ops: Sequence[Sequence[Sequence[int]]] | No
         terms = len(op)
         cands = tuple(range(terms, -terms - 1, -1))
         label = _state_op_text(op, basis)
-        blocks: list[tuple | None] = []
-        invariant = True
-        for leaf in leaves:
-            if leaf.remainder:
-                blocks.append(None)
-                continue
-            if leaf.space.dim == leaf.space.ambient:
-                blocks.append(maps_to_matrix(maps, d))
-                continue
-            try:
-                blocks.append(restrict_apply(lambda v: apply_maps(maps, v), leaf.space, label))
-            except NotInvariantError:
-                invariant = False
-                break
-        if not invariant:
+        try:
+            blocks = [
+                None if leaf.remainder else _block(leaf.space, maps, label)
+                for leaf in leaves
+            ]
+        except NotInvariantError:
             skipped.append(op)
             continue
         new_leaves = []
@@ -283,14 +288,7 @@ def resolve(basis: OrbitBasis, state_ops: Sequence[Sequence[Sequence[int]]] | No
             if leaf.remainder:
                 new_leaves.append(leaf)
                 continue
-            children = []
-            total = 0
-            for c in cands:
-                rows = eigenrows_of_block(block, c)
-                if rows:
-                    sub = _lift(rows, leaf.space) if leaf.space.dim != d else _canonical(d, rows)
-                    children.append((c, sub))
-                    total += sub.dim
+            children, total = _split(leaf.space, block, cands)
             if total > leaf.space.dim:
                 raise InternalCheckError(f"{label}: eigenspaces overfill the leaf")
             for c, sub in children:

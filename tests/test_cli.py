@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -31,6 +32,35 @@ def test_parse_state_ops():
         parse_state_ops("(a)", alpha)
     with pytest.raises(ValueError):
         parse_state_ops("(a z)", alpha)
+
+
+# SHA-256 of `basis --format json` stdout, pinned from the rational-arithmetic
+# solver; the integer core and the branching-rule candidates must reproduce
+# these tables byte for byte
+PINNED_JSON = [
+    pytest.param(["--config", "aaabbc"], 2,
+                 "3f0429642a866f04a5650351a48834a9126b808cc97dd976d441c9d280bddb01",
+                 id="aaabbc"),
+    pytest.param(["--config", "aaaabbc"], 2,
+                 "4701fd2bf5c55910b64192a86cafc77a1dccdb81cfcf7afecee9ad5d0338e00a",
+                 id="aaaabbc"),
+    pytest.param(["--config", "abcde"], 2,
+                 "7d5927f8a8e0e3a021fafbe86adc7e6445438593b9df0fd62a18d41c609bc752",
+                 id="abcde"),
+    pytest.param(["--config", "aabbcd"], 2,
+                 "6f743636f82912117ee5078b029f4c8192d864168dc1bdd1b16f2ea85d755a8a",
+                 id="aabbcd"),
+    pytest.param(["--config", "aabbcc", "--state-ops", "(a b)+(b c)+(a c),(a b)"], 0,
+                 "69ac0ee98ffcfe0b3ee48dc8ba1cd10aec9db5dc066a7ed7525f5eef99b6ab15",
+                 id="aabbcc-state-ops"),
+]
+
+
+@pytest.mark.parametrize("args,want_code,digest", PINNED_JSON)
+def test_basis_json_matches_pinned_digest(args, want_code, digest, capsys):
+    code, out, err = run_cli(["basis", *args, "--format", "json"], capsys)
+    assert code == want_code
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_basis_aab_text(capsys):

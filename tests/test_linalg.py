@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -171,6 +172,54 @@ def test_restrict_rejects_non_invariant_subspace():
     with pytest.raises(NotInvariantError) as err:
         restrict(m, crooked)
     assert len(err.value.witness) == 3
+
+
+def test_restrict_rejects_non_integer_matrix():
+    space = Subspace.from_rows(2, [(1, 1)])
+    with pytest.raises(ValueError, match="integer matrix"):
+        half = Fraction(1, 2)
+        restrict(((half, half), (half, half)), space)
+
+
+def assert_primitive_rref(rows):
+    pivots = []
+    for row in rows:
+        assert all(type(x) is int for x in row)
+        p = next(t for t, x in enumerate(row) if x)
+        assert row[p] > 0
+        assert gcd(*row) == 1
+        pivots.append(p)
+    assert pivots == sorted(set(pivots))
+    for i, row in enumerate(rows):
+        assert all(row[p] == 0 for j, p in enumerate(pivots) if j != i)
+
+
+def test_kernel_and_from_rows_give_primitive_rref_rows():
+    rng = random.Random(24)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        m = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)]
+             for _ in range(rng.randint(1, 5))]
+        assert_primitive_rref(kernel(m, n))
+        assert_primitive_rref(Subspace.from_rows(n, m).rows)
+
+
+def test_from_rows_of_scaled_shuffled_spanning_set_is_the_same_subspace():
+    rng = random.Random(25)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        m = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(rng.randint(1, 5))]
+        space = Subspace.from_rows(n, m)
+        scales = [Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4)) for _ in m]
+        spanning = [[s * x for x in row] for s, row in zip(scales, m)]
+        # add redundant combinations, then shuffle
+        for _ in range(2):
+            a, b = rng.choice(m), rng.choice(m)
+            spanning.append([x - 2 * y for x, y in zip(a, b)])
+        rng.shuffle(spanning)
+        other = Subspace.from_rows(n, spanning)
+        assert other == space
+        assert hash(other) == hash(space)
 
 
 def test_intersect_examples():

@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from symadapt import solver
 from symadapt.operators import apply_maps, element_maps
 from symadapt.perm import random_permutation, subgroup_transpositions
 from symadapt.solver import (
     CGTable,
+    InternalCheckError,
     LabeledVector,
     block_structure_check,
     default_state_ops,
@@ -127,6 +129,15 @@ def test_resolve_deterministic():
         a = resolve(make_basis(cfg))
         b = resolve(make_basis(cfg))
         assert a == b
+
+
+def test_pruning_a_branching_corner_trips_the_dimension_check(monkeypatch):
+    # the C(k) candidates come from the addable corners of the leaf's shape;
+    # dropping one corner loses an eigenspace, which the dimension count catches
+    real = solver.addable_corners
+    monkeypatch.setattr(solver, "addable_corners", lambda shape: real(shape)[:-1])
+    with pytest.raises(InternalCheckError, match="eigenspace dimensions sum"):
+        resolve(make_basis("aab"))
 
 
 def test_orbit_escaping_state_operator_raises():
