@@ -26,13 +26,10 @@ from .linalg import (
     intersect,
     kernel,
     restrict,
-    rref,
 )
 from .operators import (
     class_operator,
-    commutes,
     dump_matrix,
-    load_matrix_dump,
     matrix_of_elements,
     state_operator,
 )
@@ -41,8 +38,6 @@ from .perm import (
     compose,
     cycle_string,
     identity,
-    inverse,
-    parse_cycles,
     subgroup_transpositions,
     transposition,
 )
@@ -78,19 +73,14 @@ __all__ = [
     "intersect",
     "kernel",
     "restrict",
-    "rref",
     "class_operator",
-    "commutes",
     "dump_matrix",
-    "load_matrix_dump",
     "matrix_of_elements",
     "state_operator",
     "Permutation",
     "compose",
     "cycle_string",
     "identity",
-    "inverse",
-    "parse_cycles",
     "subgroup_transpositions",
     "transposition",
     "CGTable",

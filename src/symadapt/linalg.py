@@ -7,7 +7,7 @@ zero in the pivot columns of the other rows.  That form is canonical, so
 subspace equality is plain structural equality.  Elimination runs
 fraction-free over Python integers with per-row gcd reduction, and no
 internal step forms a Fraction.  Fractions appear only at the public
-edge: rref(), restrict() and Subspace.coords() return them, and kernel(),
+edge: restrict() and Subspace.coords() return them, and kernel(),
 eigenspace() and Subspace.from_rows() accept rational input.
 """
 from __future__ import annotations
@@ -106,22 +106,6 @@ def _canonical(rows: list[list[int]]) -> tuple[tuple[IntRow, ...], tuple[int, ..
             g = -g
         out.append(tuple(row) if g == 1 else tuple([a // g for a in row]))
     return tuple(out), tuple(pivots)
-
-
-def rref(matrix: Matrix) -> tuple[tuple[Row, ...], int]:
-    """Reduced row echelon form and rank, both exact.
-
-    The result has the same number of rows as the input (zero rows sink
-    to the bottom), every pivot entry is 1, and rank equals the number of
-    pivots.
-    """
-    rows = [row_to_int(r) for r in matrix]
-    red, pivots = _jordan(rows)
-    ncols = len(rows[0]) if rows else 0
-    out = [tuple(Fraction(a, row[p]) for a in row) for row, p in zip(red, pivots)]
-    zero = tuple(Fraction(0) for _ in range(ncols))
-    out.extend(zero for _ in range(len(rows) - len(pivots)))
-    return tuple(out), len(pivots)
 
 
 def kernel(matrix: Matrix, ncols: int | None = None) -> tuple[IntRow, ...]:
@@ -363,7 +347,6 @@ __all__ = [
     "row_to_int",
     "NotInvariantError",
     "Subspace",
-    "rref",
     "kernel",
     "eigenspace",
     "candidate_eigenvalues",

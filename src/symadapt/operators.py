@@ -6,7 +6,8 @@ permutation gives a 0/1 permutation matrix.
 
 Since every operator here is a sum of basis-ket permutations, each one is
 also kept as a list of index maps (sigma with M[sigma(j)][j] += 1), which
-applies to coefficient vectors in O(terms * dim) instead of O(dim^2).
+applies to a coefficient vector in O(dim + terms * nonzeros) instead of
+O(dim^2).
 """
 from __future__ import annotations
 
@@ -73,12 +74,15 @@ def state_maps(pairs: Sequence[Sequence[int]], basis: OrbitBasis) -> list[tuple[
 
 
 def apply_maps(maps: Sequence[tuple[int, ...]], vec: Sequence) -> list:
-    """Apply the sum of the mapped permutation matrices to a column vector."""
+    """Apply the sum of the mapped permutation matrices to a column vector.
+
+    Only the vector's nonzero entries are walked for each map: chain
+    eigenspace rows are mostly zeros."""
     out = [0] * len(vec)
+    support = [(j, x) for j, x in enumerate(vec) if x]
     for sigma in maps:
-        for j, x in enumerate(vec):
-            if x:
-                out[sigma[j]] += x
+        for j, x in support:
+            out[sigma[j]] += x
     return out
 
 
@@ -105,47 +109,11 @@ def state_operator(pairs: Sequence[Sequence[int]], basis: OrbitBasis) -> IntMatr
     return maps_to_matrix(state_maps(pairs, basis), len(basis))
 
 
-def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if len(a[0]) != len(b):
-        raise ValueError(f"dimension mismatch: {len(a[0])} != {len(b)}")
-    bt = list(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
-
-
-def mat_identity(dim: int) -> IntMatrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim))
-
-
-def commutes(a: IntMatrix, b: IntMatrix) -> bool:
-    """True iff AB = BA exactly."""
-    if len(a) != len(b):
-        raise ValueError(f"dimension mismatch: {len(a)} != {len(b)}")
-    return mat_mul(a, b) == mat_mul(b, a)
-
-
 def dump_matrix(matrix: IntMatrix, label: str) -> str:
     """Plain-text dump: header "dim=<d> label=<name>" then one row per line."""
     lines = [f"dim={len(matrix)} label={label}"]
     lines.extend(" ".join(str(x) for x in row) for row in matrix)
     return "\n".join(lines) + "\n"
-
-
-def load_matrix_dump(text: str) -> tuple[str, IntMatrix]:
-    """Parse a dump_matrix() block back into (label, matrix)."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("dim="):
-        raise ValueError("matrix dump must start with a 'dim=<d> label=<name>' header")
-    head, _, label_part = lines[0].partition(" ")
-    dim = int(head[len("dim="):])
-    if not label_part.startswith("label="):
-        raise ValueError(f"malformed dump header {lines[0]!r}")
-    label = label_part[len("label="):]
-    rows = [tuple(int(tok) for tok in ln.split()) for ln in lines[1 : dim + 1]]
-    if len(rows) != dim or any(len(r) != dim for r in rows):
-        raise ValueError(f"matrix dump body does not match dim={dim}")
-    return label, tuple(rows)
 
 
 __all__ = [
@@ -160,9 +128,5 @@ __all__ = [
     "matrix_of_elements",
     "class_operator",
     "state_operator",
-    "mat_mul",
-    "mat_identity",
-    "commutes",
     "dump_matrix",
-    "load_matrix_dump",
 ]

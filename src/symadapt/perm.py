@@ -128,10 +128,6 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     return Permutation(pim[x - 1] for x in q.images)
 
 
-def inverse(p: Permutation) -> Permutation:
-    return p.inverse()
-
-
 def subgroup_transpositions(k: int, n: int) -> list[Permutation]:
     """All transpositions (i j) with i < j <= k, embedded in S_n.
 
@@ -161,47 +157,6 @@ def cycle_string(p: Permutation) -> str:
     return "".join("(" + " ".join(str(x) for x in c) + ")" for c in cycs)
 
 
-def parse_cycles(text: str, n: int) -> Permutation:
-    """Parse cycle notation like "(1 2)(3 4)" into a permutation of degree n.
-
-    Cycles are parenthesized, points whitespace-separated, juxtaposed cycles
-    must be disjoint, fixed points may be omitted, and "()" is the identity.
-    """
-    text = text.strip()
-    if not text:
-        raise ValueError("empty cycle expression")
-    cycles: list[list[int]] = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        if text[pos] != "(":
-            raise ValueError(f"expected '(' at position {pos} in {text!r}")
-        end = text.find(")", pos)
-        if end < 0:
-            raise ValueError(f"unbalanced '(' in {text!r}")
-        body = text[pos + 1 : end].split()
-        try:
-            points = [int(tok) for tok in body]
-        except ValueError:
-            raise ValueError(f"non-integer point in cycle {text[pos:end + 1]!r}") from None
-        cycles.append(points)
-        pos = end + 1
-    images = list(range(1, n + 1))
-    seen: set[int] = set()
-    for points in cycles:
-        for x in points:
-            if not 1 <= x <= n:
-                raise ValueError(f"point {x} out of range 1..{n}")
-            if x in seen:
-                raise ValueError(f"point {x} repeated; cycles must be disjoint")
-            seen.add(x)
-        for a, b in zip(points, points[1:] + points[:1]):
-            images[a - 1] = b
-    return Permutation(images)
-
-
 def random_permutation(n: int, rng) -> Permutation:
     """A pseudorandom element of S_n drawn from the given ``random.Random``."""
     points = list(range(1, n + 1))
@@ -214,9 +169,7 @@ __all__ = [
     "identity",
     "transposition",
     "compose",
-    "inverse",
     "subgroup_transpositions",
     "cycle_string",
-    "parse_cycles",
     "random_permutation",
 ]

@@ -20,8 +20,8 @@ the dimension count after each split proves that none was missed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 from .configs import OrbitBasis
@@ -357,7 +357,46 @@ class VerifyReport:
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
+
+
+def _pack_columns(rows: Sequence[Sequence[int]], w: int) -> list[int]:
+    """Kronecker-pack integer rows column by column:
+    packed[t] = sum_r rows[r][t] * 2**(w*r), with missing entries read as 0.
+
+    For any vector u, sum(map(mul, u, packed)) is then sum_r (u . rows[r])
+    * 2**(w*r): one pass gives every dot product as a base-2**w digit,
+    and _unpack reads them back when each is below 2**(w-1) in absolute
+    value.
+    """
+    packed = [0] * max(map(len, rows), default=0)
+    for r, row in enumerate(rows):
+        shift = w * r
+        for t, c in enumerate(row):
+            if c:
+                packed[t] += c << shift
+    return packed
+
+
+def _unpack(x: int, w: int, count: int) -> list[int]:
+    """The ``count`` balanced base-2**w digits of x, lowest first (each in
+    [-2**(w-1), 2**(w-1))); see _pack_columns."""
+    mask = (1 << w) - 1
+    half = 1 << (w - 1)
+    digits = []
+    for _ in range(count):
+        digit = x & mask
+        if digit >= half:
+            digit -= 1 << w
+        digits.append(digit)
+        x = (x - digit) >> w
+    return digits
+
+
+def _width(norms: Sequence[int]) -> int:
+    """Digit width for packed dot products of vectors with these sums of
+    squares: by Cauchy-Schwarz |u . v| <= max(norms) < 2**(w-1)."""
+    return max(norms, default=0).bit_length() + 2
 
 
 def verify_table(table: CGTable) -> VerifyReport:
@@ -368,6 +407,16 @@ def verify_table(table: CGTable) -> VerifyReport:
     chain-difference equations (the Jucys-Murphy consistency
     (C(j) - C(j-1)) v = (nu_j - nu_{j-1}) v), and completeness.  An
     honestly flagged incomplete table yields a warning, not a failure.
+
+    Orthogonality reads whole Gram rows at once: the table is packed once
+    (see _pack_columns) with digit width w = bit_length(max sum c^2) + 2,
+    computed from the coefficients themselves, so that by Cauchy-Schwarz
+    every dot product is a unique balanced base-2**w digit.  Row i,
+    v_i . packed, then equals (sum c_i^2) * 2**(w*i) exactly when v_i is
+    orthogonal to every other vector; only rows that differ are scanned
+    pair by pair.  The Jucys-Murphy images X_j v = sum_{i<j} (i j) v are
+    computed once per vector, and C(k) v is their prefix sum over j <= k,
+    since C(k) = X_2 + ... + X_k.
     """
     basis = table.basis
     n = basis.degree
@@ -376,29 +425,29 @@ def verify_table(table: CGTable) -> VerifyReport:
     checks: list[Check] = []
 
     bad_norm = []
+    squares = []
     for i, v in enumerate(vecs):
         g = 0
         for c in v.coeffs:
             g = gcd(g, c)
         lead = next((c for c in v.coeffs if c), 0)
-        if (
-            len(v.coeffs) != d
-            or v.norm_sq <= 0
-            or sum(c * c for c in v.coeffs) != v.norm_sq
-            or g != 1
-            or lead <= 0
-        ):
+        sq = _dot(v.coeffs, v.coeffs)
+        squares.append(sq)
+        if len(v.coeffs) != d or v.norm_sq <= 0 or sq != v.norm_sq or g != 1 or lead <= 0:
             bad_norm.append(i)
     checks.append(
         Check("unit_norm", "PASS" if not bad_norm else "FAIL",
               "" if not bad_norm else f"vectors {bad_norm} break the normalization contract")
     )
 
+    w = _width(squares)
+    packed = _pack_columns([v.coeffs for v in vecs], w)
     bad_pairs = [
         (i, j)
-        for i in range(len(vecs))
+        for i, v in enumerate(vecs)
+        if _dot(v.coeffs, packed) != squares[i] << (w * i)
         for j in range(i + 1, len(vecs))
-        if _dot(vecs[i].coeffs, vecs[j].coeffs) != 0
+        if _dot(v.coeffs, vecs[j].coeffs) != 0
     ]
     checks.append(
         Check("orthogonality", "PASS" if not bad_pairs else "FAIL",
@@ -406,37 +455,31 @@ def verify_table(table: CGTable) -> VerifyReport:
     )
 
     failures = []
-    chain_maps = {
-        k: element_maps(subgroup_transpositions(k, n), basis) for k in range(2, n + 1)
-    }
+    jm_failures = []
+    jm_maps = [
+        element_maps([transposition(i, j, n) for i in range(1, j)], basis)
+        for j in range(2, n + 1)
+    ]
     op_maps = [state_maps(op, basis) for op in table.state_ops]
     for i, v in enumerate(vecs):
-        for k in range(2, n + 1):
-            nu_k = v.chain.nu[n - k]
-            if apply_maps(chain_maps[k], v.coeffs) != [nu_k * c for c in v.coeffs]:
-                failures.append((i, f"C({k})"))
+        coeffs = v.coeffs
+        nu = v.chain.nu
+        image = [0] * len(coeffs)
+        for j, maps in enumerate(jm_maps, start=2):
+            x_image = apply_maps(maps, coeffs)
+            content = nu[n - j] - (nu[n - j + 1] if j > 2 else 0)
+            if x_image != [content * c for c in coeffs]:
+                jm_failures.append((i, j))
+            image = [a + b for a, b in zip(image, x_image)]
+            if image != [nu[n - j] * c for c in coeffs]:
+                failures.append((i, f"C({j})"))
         for idx, lab in enumerate(v.chain.state_labels):
-            if apply_maps(op_maps[idx], v.coeffs) != [lab * c for c in v.coeffs]:
+            if apply_maps(op_maps[idx], coeffs) != [lab * c for c in coeffs]:
                 failures.append((i, f"state op {idx}"))
     checks.append(
         Check("eigen_equations", "PASS" if not failures else "FAIL",
               "" if not failures else f"failed equations {failures[:5]}")
     )
-
-    jm_failures = []
-    jm_maps = {
-        j: element_maps(
-            [transposition(i, j, n) for i in range(1, j)], basis
-        )
-        for j in range(2, n + 1)
-    }
-    for i, v in enumerate(vecs):
-        for j in range(2, n + 1):
-            nu_j = v.chain.nu[n - j]
-            nu_prev = v.chain.nu[n - j + 1] if j > 2 else 0
-            content = nu_j - nu_prev
-            if apply_maps(jm_maps[j], v.coeffs) != [content * c for c in v.coeffs]:
-                jm_failures.append((i, j))
     checks.append(
         Check("jucys_murphy", "PASS" if not jm_failures else "FAIL",
               "" if not jm_failures else f"failed differences {jm_failures[:5]}")
@@ -467,32 +510,47 @@ def block_structure_check(table: CGTable, elements: Sequence[Permutation]) -> Ch
     For each transformed vector the exact Parseval identity over its own
     block is asserted; for small tables every cross-block entry is also
     checked to be zero directly.
+
+    Each block's columns are packed once (see _pack_columns) with digit
+    width w = bit_length(max sum c^2 in the block) + 2, so one pass of the
+    transformed vector over the pack gives all of its dot products with
+    the block.  The Parseval identity sum_b (g v . v_b)^2 / n_b = n_v is
+    checked in integers, multiplied through by L = lcm of the block's
+    norms n_b.
     """
     vecs = table.vectors
     d = len(table.basis)
     groups: dict[tuple, list[int]] = {}
     for i, v in enumerate(vecs):
         groups.setdefault((v.tableau.shape, v.chain.state_labels), []).append(i)
+    blocks = {}
+    for key, mates in groups.items():
+        coeffs = [vecs[b].coeffs for b in mates]
+        w = _width([_dot(c, c) for c in coeffs])
+        big = lcm(*(vecs[b].norm_sq for b in mates))
+        weights = [big // vecs[b].norm_sq for b in mates]
+        blocks[key] = (mates, _pack_columns(coeffs, w), w, big, weights)
+    # a short vector reads as zero-padded
+    padded = [v.coeffs + (0,) * (d - len(v.coeffs)) for v in vecs]
     direct = d <= 32
     for g in elements:
         sigma = ket_map(g, table.basis)
+        sigma_inv = [0] * d
+        for j, t in enumerate(sigma):
+            sigma_inv[t] = j
         for i, v in enumerate(vecs):
-            image = [0] * d
-            for j, c in enumerate(v.coeffs):
-                image[sigma[j]] = c
-            mates = groups[(v.tableau.shape, v.chain.state_labels)]
-            projected = sum(
-                Fraction(_dot(image, vecs[b].coeffs) ** 2, vecs[b].norm_sq)
-                for b in mates
-            )
-            if projected != v.norm_sq:
+            # image[sigma[j]] = coeffs[j]
+            image = [padded[i][j] for j in sigma_inv]
+            mates, packed, w, big, weights = blocks[(v.tableau.shape, v.chain.state_labels)]
+            dots = _unpack(_dot(image, packed), w, len(mates))
+            if sum(x * x * wt for x, wt in zip(dots, weights)) != v.norm_sq * big:
                 return Check(
                     "block_structure", "FAIL",
                     f"{g} maps vector {i} outside its (shape, state-label) block",
                 )
             if direct:
-                for b, w in enumerate(vecs):
-                    if b not in mates and _dot(image, w.coeffs) != 0:
+                for b, u in enumerate(vecs):
+                    if b not in mates and _dot(image, u.coeffs) != 0:
                         return Check(
                             "block_structure", "FAIL",
                             f"{g} connects vectors {i} and {b} across blocks",

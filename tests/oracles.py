@@ -1,16 +1,25 @@
-"""Independent brute-force oracles for the test suite.
+"""Independent brute-force oracles and test-only helpers for the test suite.
 
-Everything here recomputes results by a route the package never takes:
-full n! enumeration instead of generator closure, backtracking tableau
-fills instead of corner growth, spectral projection products instead of
-kernel extraction, semistandard fillings for multiplicities.
+The oracles recompute results by a route the package never takes: full
+n! enumeration instead of generator closure, backtracking tableau fills
+instead of corner growth, spectral projection products instead of kernel
+extraction, semistandard fillings for multiplicities, and the all-pairs
+dot-product and Fraction Parseval checks instead of packed Gram rows.
+
+The helpers (dense matrix products, matrix-dump parsing, a Fraction RREF
+view of the package's elimination, cycle-notation parsing and inverses)
+serve only the tests, so they live here rather than in the package.
 """
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd
 
-from symadapt.perm import Permutation
+from symadapt.linalg import _jordan, row_to_int
+from symadapt.operators import element_maps, ket_map, state_maps
+from symadapt.perm import Permutation, subgroup_transpositions, transposition
+from symadapt.solver import Check, VerifyReport
 
 
 def all_elements(n: int) -> list[Permutation]:
@@ -117,3 +126,244 @@ def kostka(shape: tuple[int, ...], content: tuple[int, ...]) -> int:
 
     fill(0)
     return count
+
+
+def mat_mul(a, b):
+    if len(a[0]) != len(b):
+        raise ValueError(f"dimension mismatch: {len(a[0])} != {len(b)}")
+    bt = list(zip(*b))
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
+    )
+
+
+def mat_identity(dim: int):
+    return tuple(tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim))
+
+
+def commutes(a, b) -> bool:
+    """True iff AB = BA exactly."""
+    if len(a) != len(b):
+        raise ValueError(f"dimension mismatch: {len(a)} != {len(b)}")
+    return mat_mul(a, b) == mat_mul(b, a)
+
+
+def load_matrix_dump(text: str):
+    """Parse a symadapt.operators.dump_matrix() block back into (label, matrix)."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or not lines[0].startswith("dim="):
+        raise ValueError("matrix dump must start with a 'dim=<d> label=<name>' header")
+    head, _, label_part = lines[0].partition(" ")
+    dim = int(head[len("dim="):])
+    if not label_part.startswith("label="):
+        raise ValueError(f"malformed dump header {lines[0]!r}")
+    label = label_part[len("label="):]
+    rows = [tuple(int(tok) for tok in ln.split()) for ln in lines[1 : dim + 1]]
+    if len(rows) != dim or any(len(r) != dim for r in rows):
+        raise ValueError(f"matrix dump body does not match dim={dim}")
+    return label, tuple(rows)
+
+
+def rref(matrix):
+    """Reduced row echelon form and rank of the package's fraction-free
+    elimination, read as Fractions.
+
+    The result has the same number of rows as the input (zero rows sink
+    to the bottom), every pivot entry is 1, and rank equals the number of
+    pivots.
+    """
+    rows = [row_to_int(r) for r in matrix]
+    red, pivots = _jordan(rows)
+    ncols = len(rows[0]) if rows else 0
+    out = [tuple(Fraction(a, row[p]) for a in row) for row, p in zip(red, pivots)]
+    zero = tuple(Fraction(0) for _ in range(ncols))
+    out.extend(zero for _ in range(len(rows) - len(pivots)))
+    return tuple(out), len(pivots)
+
+
+def inverse(p: Permutation) -> Permutation:
+    return p.inverse()
+
+
+def parse_cycles(text: str, n: int) -> Permutation:
+    """Parse cycle notation like "(1 2)(3 4)" into a permutation of degree n.
+
+    Cycles are parenthesized, points whitespace-separated, juxtaposed cycles
+    must be disjoint, fixed points may be omitted, and "()" is the identity.
+    """
+    text = text.strip()
+    if not text:
+        raise ValueError("empty cycle expression")
+    cycles: list[list[int]] = []
+    pos = 0
+    while pos < len(text):
+        if text[pos].isspace():
+            pos += 1
+            continue
+        if text[pos] != "(":
+            raise ValueError(f"expected '(' at position {pos} in {text!r}")
+        end = text.find(")", pos)
+        if end < 0:
+            raise ValueError(f"unbalanced '(' in {text!r}")
+        body = text[pos + 1 : end].split()
+        try:
+            points = [int(tok) for tok in body]
+        except ValueError:
+            raise ValueError(f"non-integer point in cycle {text[pos:end + 1]!r}") from None
+        cycles.append(points)
+        pos = end + 1
+    images = list(range(1, n + 1))
+    seen: set[int] = set()
+    for points in cycles:
+        for x in points:
+            if not 1 <= x <= n:
+                raise ValueError(f"point {x} out of range 1..{n}")
+            if x in seen:
+                raise ValueError(f"point {x} repeated; cycles must be disjoint")
+            seen.add(x)
+        for a, b in zip(points, points[1:] + points[:1]):
+            images[a - 1] = b
+    return Permutation(images)
+
+
+def _dot(a, b) -> int:
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _apply_maps(maps, vec) -> list:
+    """Sum of the mapped permutation matrices on a vector, walking every
+    entry for every map."""
+    out = [0] * len(vec)
+    for sigma in maps:
+        for j, x in enumerate(vec):
+            if x:
+                out[sigma[j]] += x
+    return out
+
+
+def verify_table_reference(table) -> VerifyReport:
+    """symadapt.solver.verify_table by the direct route: all-pairs dot
+    products for orthogonality, and every C(k) applied term by term
+    instead of as prefix sums of Jucys-Murphy images."""
+    basis = table.basis
+    n = basis.degree
+    d = len(basis)
+    vecs = table.vectors
+    checks: list[Check] = []
+
+    bad_norm = []
+    for i, v in enumerate(vecs):
+        g = 0
+        for c in v.coeffs:
+            g = gcd(g, c)
+        lead = next((c for c in v.coeffs if c), 0)
+        if (
+            len(v.coeffs) != d
+            or v.norm_sq <= 0
+            or sum(c * c for c in v.coeffs) != v.norm_sq
+            or g != 1
+            or lead <= 0
+        ):
+            bad_norm.append(i)
+    checks.append(
+        Check("unit_norm", "PASS" if not bad_norm else "FAIL",
+              "" if not bad_norm else f"vectors {bad_norm} break the normalization contract")
+    )
+
+    bad_pairs = [
+        (i, j)
+        for i in range(len(vecs))
+        for j in range(i + 1, len(vecs))
+        if _dot(vecs[i].coeffs, vecs[j].coeffs) != 0
+    ]
+    checks.append(
+        Check("orthogonality", "PASS" if not bad_pairs else "FAIL",
+              "" if not bad_pairs else f"non-orthogonal pairs {bad_pairs[:5]}")
+    )
+
+    failures = []
+    chain_maps = {
+        k: element_maps(subgroup_transpositions(k, n), basis) for k in range(2, n + 1)
+    }
+    op_maps = [state_maps(op, basis) for op in table.state_ops]
+    for i, v in enumerate(vecs):
+        for k in range(2, n + 1):
+            nu_k = v.chain.nu[n - k]
+            if _apply_maps(chain_maps[k], v.coeffs) != [nu_k * c for c in v.coeffs]:
+                failures.append((i, f"C({k})"))
+        for idx, lab in enumerate(v.chain.state_labels):
+            if _apply_maps(op_maps[idx], v.coeffs) != [lab * c for c in v.coeffs]:
+                failures.append((i, f"state op {idx}"))
+    checks.append(
+        Check("eigen_equations", "PASS" if not failures else "FAIL",
+              "" if not failures else f"failed equations {failures[:5]}")
+    )
+
+    jm_failures = []
+    jm_maps = {
+        j: element_maps([transposition(i, j, n) for i in range(1, j)], basis)
+        for j in range(2, n + 1)
+    }
+    for i, v in enumerate(vecs):
+        for j in range(2, n + 1):
+            nu_j = v.chain.nu[n - j]
+            nu_prev = v.chain.nu[n - j + 1] if j > 2 else 0
+            content = nu_j - nu_prev
+            if _apply_maps(jm_maps[j], v.coeffs) != [content * c for c in v.coeffs]:
+                jm_failures.append((i, j))
+    checks.append(
+        Check("jucys_murphy", "PASS" if not jm_failures else "FAIL",
+              "" if not jm_failures else f"failed differences {jm_failures[:5]}")
+    )
+
+    flagged = any(v.tag is not None for v in vecs)
+    if len(vecs) != d or table.complete == flagged:
+        checks.append(
+            Check("completeness", "FAIL",
+                  f"{len(vecs)} vectors for orbit size {d}; complete flag {table.complete}")
+        )
+    elif table.complete:
+        checks.append(Check("completeness", "PASS"))
+    else:
+        unlabeled = sum(1 for v in vecs if v.tag is not None)
+        checks.append(
+            Check("completeness", "WARN",
+                  f"{unlabeled} of {len(vecs)} vectors left unlabeled (flagged residue)")
+        )
+    return VerifyReport(tuple(checks))
+
+
+def block_structure_reference(table, elements) -> Check:
+    """symadapt.solver.block_structure_check by the direct route: each
+    transformed vector's Parseval sum over its block in Fractions, one dot
+    product at a time."""
+    vecs = table.vectors
+    d = len(table.basis)
+    groups: dict[tuple, list[int]] = {}
+    for i, v in enumerate(vecs):
+        groups.setdefault((v.tableau.shape, v.chain.state_labels), []).append(i)
+    direct = d <= 32
+    for g in elements:
+        sigma = ket_map(g, table.basis)
+        for i, v in enumerate(vecs):
+            image = [0] * d
+            for j, c in enumerate(v.coeffs):
+                image[sigma[j]] = c
+            mates = groups[(v.tableau.shape, v.chain.state_labels)]
+            projected = sum(
+                Fraction(_dot(image, vecs[b].coeffs) ** 2, vecs[b].norm_sq)
+                for b in mates
+            )
+            if projected != v.norm_sq:
+                return Check(
+                    "block_structure", "FAIL",
+                    f"{g} maps vector {i} outside its (shape, state-label) block",
+                )
+            if direct:
+                for b, w in enumerate(vecs):
+                    if b not in mates and _dot(image, w.coeffs) != 0:
+                        return Check(
+                            "block_structure", "FAIL",
+                            f"{g} connects vectors {i} and {b} across blocks",
+                        )
+    return Check("block_structure", "PASS")

@@ -34,31 +34,52 @@ def test_parse_state_ops():
         parse_state_ops("(a z)", alpha)
 
 
-# SHA-256 of `basis --format json` stdout, pinned from the rational-arithmetic
-# solver; the integer core and the branching-rule candidates must reproduce
-# these tables byte for byte
+# SHA-256 of `<subcommand> ... --format json` stdout.  The basis tables were
+# pinned from the rational-arithmetic solver, and the verify reports from the
+# all-pairs orthogonality and Fraction Parseval checks; the integer core, the
+# branching-rule candidates and the packed checks must reproduce them byte
+# for byte
+STATE_OPS = ["--state-ops", "(a b)+(b c)+(a c),(a b)"]
 PINNED_JSON = [
-    pytest.param(["--config", "aaabbc"], 2,
+    pytest.param(["basis", "--config", "aaabbc"], 2,
                  "3f0429642a866f04a5650351a48834a9126b808cc97dd976d441c9d280bddb01",
                  id="aaabbc"),
-    pytest.param(["--config", "aaaabbc"], 2,
+    pytest.param(["basis", "--config", "aaaabbc"], 2,
                  "4701fd2bf5c55910b64192a86cafc77a1dccdb81cfcf7afecee9ad5d0338e00a",
                  id="aaaabbc"),
-    pytest.param(["--config", "abcde"], 2,
+    pytest.param(["basis", "--config", "abcde"], 2,
                  "7d5927f8a8e0e3a021fafbe86adc7e6445438593b9df0fd62a18d41c609bc752",
                  id="abcde"),
-    pytest.param(["--config", "aabbcd"], 2,
+    pytest.param(["basis", "--config", "aabbcd"], 2,
                  "6f743636f82912117ee5078b029f4c8192d864168dc1bdd1b16f2ea85d755a8a",
                  id="aabbcd"),
-    pytest.param(["--config", "aabbcc", "--state-ops", "(a b)+(b c)+(a c),(a b)"], 0,
+    pytest.param(["basis", "--config", "aabbcc", *STATE_OPS], 0,
                  "69ac0ee98ffcfe0b3ee48dc8ba1cd10aec9db5dc066a7ed7525f5eef99b6ab15",
                  id="aabbcc-state-ops"),
+    pytest.param(["verify", "--config", "abcd"], 0,
+                 "392ba990ae8b9b7e1505bd8260302e6d7d20a199edcdca41b1e520b3cbe9116d",
+                 id="verify-abcd"),
+    pytest.param(["verify", "--config", "aabbcc"], 2,
+                 "eca3095882ae34987bdcc792ac9caf391501f367efb4bd1387a3f08bd8c7d100",
+                 id="verify-aabbcc"),
+    pytest.param(["verify", "--config", "abcde"], 2,
+                 "a17355a84d6ebb8e7fdae72ff2d675dfdebdf9f28eea4900d3c4fcd1a5f6e4d2",
+                 id="verify-abcde"),
+    pytest.param(["verify", "--config", "aabbcd"], 2,
+                 "a821815b66a060dc3d2bd69af5e4dd6034fe53a4742896bddaf43ff87771c6ba",
+                 id="verify-aabbcd"),
+    pytest.param(["verify", "--config", "aaaabbc"], 2,
+                 "9c92c11a7118736473fdd55aec1ba46d8c74e05e505c56385096696af1b43e33",
+                 id="verify-aaaabbc"),
+    pytest.param(["verify", "--config", "aabbcc", *STATE_OPS], 0,
+                 "3bad0838e5f84249117cf18a5af56580ef109338c65444dba84bffa7a05c2cb1",
+                 id="verify-aabbcc-state-ops"),
 ]
 
 
 @pytest.mark.parametrize("args,want_code,digest", PINNED_JSON)
 def test_basis_json_matches_pinned_digest(args, want_code, digest, capsys):
-    code, out, err = run_cli(["basis", *args, "--format", "json"], capsys)
+    code, out, err = run_cli([*args, "--format", "json"], capsys)
     assert code == want_code
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 

@@ -12,13 +12,12 @@ from symadapt.linalg import (
     intersect,
     kernel,
     restrict,
-    rref,
 )
-from symadapt.operators import class_operator, mat_identity
+from symadapt.operators import class_operator
 from symadapt.young import content_sum, partitions
 
 from helpers import make_basis
-from oracles import spectral_projection_columns
+from oracles import mat_identity, rref, spectral_projection_columns
 
 ONES3 = ((1, 1, 1), (1, 1, 1), (1, 1, 1))
 

@@ -5,13 +5,9 @@ import pytest
 from symadapt.operators import (
     apply_maps,
     class_operator,
-    commutes,
     dump_matrix,
-    load_matrix_dump,
     element_maps,
     ket_map,
-    mat_identity,
-    mat_mul,
     matrix_of_elements,
     state_operator,
 )
@@ -24,7 +20,7 @@ from symadapt.perm import (
 )
 
 from helpers import make_basis, s3_distinct_basis
-from oracles import all_elements
+from oracles import all_elements, commutes, load_matrix_dump, mat_identity, mat_mul
 
 
 def test_matrix_of_single_swap_on_two_states():

@@ -1,0 +1,175 @@
+"""Exact checks on faulted tables: the packed Gram rows and packed block
+dot products of verify_table and block_structure_check must report
+exactly what the direct all-pairs and Fraction Parseval checks report."""
+import random
+from dataclasses import replace
+from functools import lru_cache
+from math import factorial, prod
+from operator import mul
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from symadapt.perm import random_permutation
+from symadapt.solver import (
+    Check,
+    _pack_columns,
+    _unpack,
+    block_structure_check,
+    resolve,
+    verify_table,
+)
+
+from helpers import make_basis
+from oracles import block_structure_reference, partitions_of, verify_table_reference
+
+UNLABELED = "WARN completeness: 28 of 60 vectors left unlabeled (flagged residue)"
+OUTSIDE = Check(
+    "block_structure", "FAIL", "(1 5) maps vector 3 outside its (shape, state-label) block"
+)
+
+
+@lru_cache(maxsize=None)
+def _table(config: str):
+    return resolve(make_basis(config))
+
+
+def _elements(n: int, seed: int = 1729, count: int = 10):
+    """The pseudorandom group elements `symadapt verify` checks by default."""
+    rng = random.Random(seed)
+    return [random_permutation(n, rng) for _ in range(count)]
+
+
+def _with(table, changes: dict):
+    """The table with vectors[i] replaced by changes[i]."""
+    vecs = [changes.get(i, v) for i, v in enumerate(table.vectors)]
+    return replace(table, vectors=tuple(vecs))
+
+
+def _mixed(table, i: int, j: int):
+    """Vector i replaced by its sum with vector j, keeping i's labels."""
+    coeffs = tuple(a + b for a, b in zip(table.vectors[i].coeffs, table.vectors[j].coeffs))
+    return _with(table, {i: replace(table.vectors[i], coeffs=coeffs,
+                                    norm_sq=sum(c * c for c in coeffs))})
+
+
+def _swapped(table, a: int, b: int):
+    va, vb = table.vectors[a], table.vectors[b]
+    return _with(table, {a: replace(va, chain=vb.chain, tableau=vb.tableau),
+                         b: replace(vb, chain=va.chain, tableau=va.tableau)})
+
+
+# aaabbc has 60 kets, so block_structure_check relies on the packed Parseval
+# sums alone (its direct cross-block scan only runs up to 32 kets); the
+# expected reports were recorded from the all-pairs, Fraction-Parseval checks
+
+
+def test_cross_block_mix_fails_orthogonality_and_block_structure():
+    table = _table("aaabbc")
+    assert table.vectors[3].tableau.shape != table.vectors[59].tableau.shape
+    broken = _mixed(table, 3, 59)
+    assert verify_table(broken).lines() == [
+        "PASS unit_norm",
+        "FAIL orthogonality: non-orthogonal pairs [(3, 59)]",
+        "FAIL eigen_equations: failed equations "
+        "[(3, 'C(2)'), (3, 'C(3)'), (3, 'C(4)'), (3, 'C(5)'), (3, 'C(6)')]",
+        "FAIL jucys_murphy: failed differences [(3, 2), (3, 3), (3, 4), (3, 5), (3, 6)]",
+        UNLABELED,
+    ]
+    assert block_structure_check(broken, _elements(6)) == OUTSIDE
+
+
+def test_understated_norm_fails_unit_norm_only():
+    table = _table("aaabbc")
+    v = table.vectors[7]
+    broken = _with(table, {7: replace(v, norm_sq=v.norm_sq - 1)})
+    assert verify_table(broken).lines() == [
+        "FAIL unit_norm: vectors [7] break the normalization contract",
+        "PASS orthogonality",
+        "PASS eigen_equations",
+        "PASS jucys_murphy",
+        UNLABELED,
+    ]
+    # vector 7 shares vector 3's block, whose Parseval sum divides by n_7
+    assert block_structure_check(broken, _elements(6)) == OUTSIDE
+
+
+def test_swapped_labels_fail_the_eigen_equations():
+    broken = _swapped(_table("aaabbc"), 0, 10)
+    assert verify_table(broken).lines() == [
+        "PASS unit_norm",
+        "PASS orthogonality",
+        "FAIL eigen_equations: failed equations "
+        "[(0, 'C(2)'), (0, 'C(3)'), (0, 'C(4)'), (0, 'C(5)'), (0, 'C(6)')]",
+        "FAIL jucys_murphy: failed differences [(0, 2), (0, 3), (0, 4), (0, 5), (0, 6)]",
+        UNLABELED,
+    ]
+    assert block_structure_check(broken, _elements(6)) == OUTSIDE
+
+
+def test_pack_unpack_round_trip_at_the_digit_bounds():
+    for w in (2, 3, 8, 17, 64):
+        top = (1 << (w - 1)) - 1
+        digits = [top, -top, 0, -top, top, 0, top]
+        (packed,) = _pack_columns([(x,) for x in digits], w)
+        assert _unpack(packed, w, len(digits)) == digits
+        # u . packed carries u . row_r as digit r
+        packed = _pack_columns([(top, 0), (0, top), (top, top), (0, 0)], w)
+        assert _unpack(sum(map(mul, (1, -1), packed)), w, 4) == [top, -top, 0, 0]
+    assert _pack_columns([], 5) == []
+    assert _pack_columns([(1, 2), (3,)], 4) == [1 + (3 << 4), 2]
+
+
+def _words() -> list[str]:
+    """One word per multiplicity pattern of 2-6 particles whose orbit has
+    at most 120 kets, largest orbit first (Hypothesis favours early
+    entries)."""
+    sized = []
+    for n in range(2, 7):
+        for pattern in partitions_of(n):
+            size = factorial(n) // prod(map(factorial, pattern))
+            if size <= 120:
+                sized.append((-size, "".join(c * m for c, m in zip("abcdef", pattern))))
+    return [word for _, word in sorted(sized)]
+
+
+FAULTS = ("none", "swap_labels", "perturb", "mix", "norm", "duplicate")
+
+
+def _fault(table, kind: str, i: int, j: int, delta: int):
+    vecs = table.vectors
+    m = len(vecs)
+    i, j = i % m, j % m
+    if kind == "swap_labels":
+        return _swapped(table, i, j)
+    if kind == "perturb":
+        v = vecs[i]
+        t = j % len(v.coeffs)
+        coeffs = v.coeffs[:t] + (v.coeffs[t] + delta,) + v.coeffs[t + 1:]
+        return _with(table, {i: replace(v, coeffs=coeffs, norm_sq=sum(c * c for c in coeffs))})
+    if kind == "mix":
+        key = (vecs[i].tableau.shape, vecs[i].chain.state_labels)
+        others = [b for b, u in enumerate(vecs) if (u.tableau.shape, u.chain.state_labels) != key]
+        return _mixed(table, i, others[j % len(others)] if others else (i + 1) % m)
+    if kind == "norm":
+        v = vecs[i]
+        return _with(table, {i: replace(v, norm_sq=max(1, v.norm_sq + delta))})
+    if kind == "duplicate":
+        return replace(table, vectors=vecs + (vecs[i],))
+    return table
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    word=st.sampled_from(_words()),
+    kind=st.sampled_from(FAULTS),
+    i=st.integers(0, 10**6),
+    j=st.integers(0, 10**6),
+    delta=st.sampled_from((-3, -2, -1, 1, 2, 3)),
+    seed=st.integers(0, 2**16),
+)
+def test_packed_checks_equal_the_direct_reference(word, kind, i, j, delta, seed):
+    table = _fault(_table(word), kind, i, j, delta)
+    assert verify_table(table) == verify_table_reference(table)
+    elements = _elements(table.basis.degree, seed, count=3)
+    assert block_structure_check(table, elements) == block_structure_reference(table, elements)
