@@ -28,6 +28,8 @@ from .solver import (
     CGTable,
     Check,
     StateOp,
+    VerifyReport,
+    _state_op_text,
     block_structure_check,
     resolve,
     verify_table,
@@ -42,7 +44,6 @@ class RunSpec:
     """Everything one invocation needs: parsed configuration, alphabet,
     optional orbit ordering, state operators, and output options."""
 
-    config_text: str
     alphabet: StateAlphabet
     word: tuple[int, ...]
     ordering: tuple[tuple[int, ...], ...] | None
@@ -85,10 +86,9 @@ def build_runspec(args: argparse.Namespace) -> RunSpec:
         with open(args.order, encoding="utf-8") as handle:
             ordering = tuple(parse_ordering(handle, alphabet))
     state_ops = None
-    if args.state_ops:
+    if args.state_ops is not None:
         state_ops = tuple(tuple(op) for op in parse_state_ops(args.state_ops, alphabet))
     return RunSpec(
-        config_text=args.config,
         alphabet=alphabet,
         word=word,
         ordering=ordering,
@@ -121,10 +121,6 @@ def coeff_text(c: int, norm_sq: int) -> str:
     return f"{c}/√{norm_sq}"
 
 
-def _state_op_label(op: StateOp, alphabet: StateAlphabet) -> str:
-    return "+".join(f"({alphabet.labels[s]} {alphabet.labels[t]})" for s, t in op)
-
-
 def _vector_terms(vector, basis: OrbitBasis) -> str:
     parts = []
     for c, w in zip(vector.coeffs, basis.configs):
@@ -151,10 +147,10 @@ def render_text_table(table: CGTable) -> str:
         f"configuration: {alpha.text_from_word(basis.seed)}",
         "orbit: " + " ".join(basis.texts()),
     ]
-    ops = ", ".join(_state_op_label(op, alpha) for op in table.state_ops)
+    ops = ", ".join(_state_op_text(op, alpha) for op in table.state_ops)
     lines.append(f"state operators: {ops if ops else '(none)'}")
     if table.skipped_state_ops:
-        skipped = ", ".join(_state_op_label(op, alpha) for op in table.skipped_state_ops)
+        skipped = ", ".join(_state_op_text(op, alpha) for op in table.skipped_state_ops)
         lines.append(f"skipped state operators (not invariant on every leaf): {skipped}")
     lines.append(f"complete: {'yes' if table.complete else 'no'}")
     for idx, v in enumerate(table.vectors, 1):
@@ -312,10 +308,8 @@ def cmd_verify(spec: RunSpec) -> int:
     if spec.verbose:
         _dump_operators(basis, spec.state_ops)
     table = resolve(basis, spec.state_ops)
-    report = verify_table(table)
-    checks = list(report.checks) + _module_invariant_checks(table)
-    failed = sum(1 for c in checks if c.status == "FAIL")
-    warned = sum(1 for c in checks if c.status == "WARN")
+    report = VerifyReport(verify_table(table).checks + tuple(_module_invariant_checks(table)))
+    checks = report.checks
     if spec.fmt == "json":
         obj = {
             "group": f"S{basis.degree}",
@@ -323,7 +317,7 @@ def cmd_verify(spec: RunSpec) -> int:
             "checks": [
                 {"name": c.name, "status": c.status, "detail": c.detail} for c in checks
             ],
-            "passed": failed == 0,
+            "passed": report.passed,
             "complete": table.complete,
         }
         sys.stdout.write(canonical_json(obj))
@@ -334,16 +328,14 @@ def cmd_verify(spec: RunSpec) -> int:
         writer.writerows([c.name, c.status, c.detail] for c in checks)
         sys.stdout.write(out.getvalue())
     else:
-        for c in checks:
-            line = f"{c.status} {c.name}"
-            if c.detail:
-                line += f": {c.detail}"
+        warned = sum(1 for c in checks if c.status == "WARN")
+        verdict = "PASS" if report.passed else "FAIL"
+        for line in report.lines():
             sys.stdout.write(line + "\n")
-        verdict = "PASS" if failed == 0 else "FAIL"
         sys.stdout.write(
             f"verification: {verdict} ({len(checks)} checks, {warned} warnings)\n"
         )
-    if failed:
+    if not report.passed:
         return 1
     return 0 if table.complete else 2
 

@@ -1,34 +1,32 @@
 """Simultaneous eigenvalue refinement along the subgroup chain.
 
 resolve() splits the orbit space into joint integer eigenspaces of the
-class-sum operators C(n), ..., C(2), then lifts any remaining multiplicity
-with state-permutation operators.  Every one-dimensional piece becomes a
+Jucys-Murphy elements X(k) = (1 k) + ... + (k-1 k), k = 2..n, then lifts
+any remaining multiplicity with state-permutation operators; one routine,
+_refine, applies every operator.  Every one-dimensional piece becomes a
 labeled basis vector: its eigenvalue chain, the standard Young tableau the
 chain encodes, and exact integer coefficients c with an implied overall
 factor 1/sqrt(norm_sq).  The coefficient table read off this basis is the
 coupling-coefficient table of the configuration.
 
-All the chain operators commute with one another, so the refinement is
-computed cheapest-first (ascending k, where the early splits are nearly
-free) and the resulting partition is identical to refining from C(n)
-downwards; leaves are then labeled and ordered in the descending-chain
-convention.  Ascending order also means every leaf already carries the
-shape of S_{k-1} when C(k) splits it, so the split tries only the
-eigenvalues the branching rule leaves open (see _branching_candidates);
-the dimension count after each split proves that none was missed.
+On a leaf of shape lambda^(k-1), X(k) acts as the content of the box that
+k adds (Okounkov-Vershik), so its split tries only the contents of the
+addable corners; the dimension count after each split proves that none
+was missed.  C(k) = X(2) + ... + X(k) is the class sum of S_k, so a
+leaf's chain label nu_k is the sum of its first k box contents.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import gcd, lcm
 from operator import mul
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .configs import OrbitBasis
+from .configs import OrbitBasis, StateAlphabet
 from .linalg import (
     NotInvariantError,
     Subspace,
-    candidate_eigenvalues,
     eigenrows_of_block,
     intersect,
     kernel,
@@ -39,11 +37,10 @@ from .operators import (
     apply_maps,
     element_maps,
     ket_map,
-    maps_to_matrix,
     normalize_state_pairs,
     state_maps,
 )
-from .perm import Permutation, subgroup_transpositions, transposition
+from .perm import Permutation, transposition
 from .young import StandardTableau, addable_corners, tableau_from_chain
 
 StateOp = tuple[tuple[int, int], ...]
@@ -129,16 +126,17 @@ def default_state_ops(basis: OrbitBasis) -> list[StateOp]:
 
 @dataclass
 class _Leaf:
+    """A piece of the partition: the eigenvalues of the operators applied
+    so far (the X(2), ..., X(k) box contents, then the state-operator
+    eigenvalues), or a frozen remainder that later operators skip."""
+
     space: Subspace
-    nu_asc: tuple[int, ...]
-    state_labels: tuple[int, ...]
+    labels: tuple[int, ...]
     remainder: bool = False
 
 
 def _lift(coord_rows: Sequence[Sequence[int]], space: Subspace) -> Subspace:
     """Span of integer coordinate rows over ``space``'s basis rows."""
-    if space.dim == space.ambient:
-        return Subspace.from_kernel(space.ambient, tuple(coord_rows))
     support = [[(t, x) for t, x in enumerate(row) if x] for row in space.rows]
     out = []
     for crow in coord_rows:
@@ -151,51 +149,72 @@ def _lift(coord_rows: Sequence[Sequence[int]], space: Subspace) -> Subspace:
     return Subspace.from_rows(space.ambient, out)
 
 
-def _block(space: Subspace, maps: Sequence[tuple[int, ...]], label: str) -> tuple:
-    """Integer block of a sum of ket permutations on an invariant subspace
-    (see restrict_apply); raises NotInvariantError when it is not invariant."""
-    if space.dim == space.ambient:
-        return maps_to_matrix(maps, space.ambient)
-    return restrict_apply(lambda v: apply_maps(maps, v), space, label)
+def _refine(
+    leaves: list[_Leaf],
+    maps: Sequence[tuple[int, ...]],
+    label: str,
+    cands: Callable[[_Leaf], Sequence[int]],
+) -> list[_Leaf]:
+    """Split every live leaf into the integer eigenspaces of one operator,
+    a sum of ket permutations given by its index maps.
 
-
-def _split(
-    space: Subspace, block: tuple, cands: Sequence[int]
-) -> tuple[list[tuple[int, Subspace]], int]:
-    """Split an invariant subspace into integer eigenspaces of an operator,
-    given the operator's integer block on it (see _block).
-
-    Returns the (eigenvalue, subspace) children in candidate order plus the
-    total dimension found; callers decide whether a shortfall is legal.
+    ``cands(leaf)`` lists the eigenvalues to try on a leaf; children keep
+    that order and append their eigenvalue to the leaf's labels.  The
+    operator's block is read on every live leaf before any leaf is split,
+    so a NotInvariantError leaves the partition as it was.  Whatever the
+    candidates leave uncovered (irrational eigenvalues) becomes a frozen
+    remainder leaf that keeps the parent's labels.
     """
-    leads = space.leads
-    children = []
-    total = 0
-    for nu in cands:
-        rows = eigenrows_of_block(block, leads, nu)
-        if rows:
-            sub = _lift(rows, space)
-            children.append((nu, sub))
-            total += sub.dim
-    return children, total
+    blocks = [
+        None if leaf.remainder
+        else restrict_apply(lambda v: apply_maps(maps, v), leaf.space, label)
+        for leaf in leaves
+    ]
+    out = []
+    for leaf, block in zip(leaves, blocks):
+        if block is None:
+            out.append(leaf)
+            continue
+        space = leaf.space
+        leads = space.leads
+        children = []
+        for c in cands(leaf):
+            rows = eigenrows_of_block(block, leads, c)
+            if rows:
+                children.append(_Leaf(_lift(rows, space), leaf.labels + (c,)))
+        total = sum(child.space.dim for child in children)
+        if total > space.dim:
+            raise InternalCheckError(f"{label}: eigenspaces overfill the leaf")
+        out.extend(children)
+        if total < space.dim:
+            rem = _orthogonal_remainder(space, [child.space for child in children])
+            if rem.dim != space.dim - total:
+                raise InternalCheckError(f"{label}: remainder dimension mismatch")
+            out.append(_Leaf(rem, leaf.labels, remainder=True))
+    return out
 
 
-def _branching_candidates(cands: Sequence[int], nu_asc: tuple[int, ...]) -> list[int]:
-    """The C(k) eigenvalues open to a leaf labelled nu_asc = (nu_2, ..., nu_{k-1}).
+def _corner_contents(leaf: _Leaf) -> list[int]:
+    """The X(k) eigenvalues open to a chain leaf: the contents of the
+    addable corners of its shape, in descending order."""
+    shape: list[int] = []
+    for c in (0,) + leaf.labels:
+        # rowlen - r strictly decreases with r, so one row takes content c
+        r = next(r for r, rowlen in enumerate(shape + [0]) if rowlen - r == c)
+        if r == len(shape):
+            shape.append(1)
+        else:
+            shape[r] += 1
+    return [c for _, c in addable_corners(shape)]
 
-    By the branching rule, a leaf of shape lambda^(k-1) only meets the
-    shapes lambda^(k) that add one box to it, so its C(k) eigenvalue is
-    nu_{k-1} + c for the content c of an addable corner of lambda^(k-1)
-    (with nu_1 = 0).  Candidates keep the descending order of ``cands``.
-    """
-    shape = tableau_from_chain(tuple(reversed(nu_asc))).shape
-    prev = nu_asc[-1] if nu_asc else 0
-    contents = {c for _, c in addable_corners(shape)}
-    return [nu for nu in cands if nu - prev in contents]
+
+def _jm_maps(j: int, basis: OrbitBasis) -> list[tuple[int, ...]]:
+    """Ket maps of the terms of the Jucys-Murphy element X(j) = sum_{i<j} (i j)."""
+    return element_maps([transposition(i, j, basis.degree) for i in range(1, j)], basis)
 
 
-def _orthogonal_remainder(space: Subspace, children: list[tuple[int, Subspace]]) -> Subspace:
-    stacked = [row for _, sub in children for row in sub.rows]
+def _orthogonal_remainder(space: Subspace, children: Sequence[Subspace]) -> Subspace:
+    stacked = [row for sub in children for row in sub.rows]
     comp = Subspace.from_kernel(space.ambient, kernel(stacked, space.ambient))
     return intersect(space, comp)
 
@@ -220,6 +239,9 @@ def _gram_schmidt(rows: Sequence[Sequence[int]]) -> list[list[int]]:
 def resolve(basis: OrbitBasis, state_ops: Sequence[Sequence[Sequence[int]]] | None = None) -> CGTable:
     """Resolve an orbit into labeled symmetry-adapted basis vectors.
 
+    The chain splits the orbit by X(2), ..., X(n); the state operators
+    then go through the same routine, _refine.
+
     ``state_ops`` is an ordered list of state operators, each a list of
     alphabet transpositions (index pairs) whose matrices are summed.  When
     none are supplied and degeneracy remains after the chain, default
@@ -236,29 +258,19 @@ def resolve(basis: OrbitBasis, state_ops: Sequence[Sequence[Sequence[int]]] | No
     """
     n = basis.degree
     d = len(basis)
-    leaves = [_Leaf(Subspace.full(d), (), ())]
+    leaves = [_Leaf(Subspace.full(d), ())]
     for k in range(2, n + 1):
-        maps = element_maps(subgroup_transpositions(k, n), basis)
-        cands = candidate_eigenvalues(k)
-        new_leaves = []
-        for leaf in leaves:
-            try:
-                block = _block(leaf.space, maps, f"C({k})")
-            except NotInvariantError as exc:
-                raise InternalCheckError(
-                    f"C({k}) failed to leave a chain eigenspace invariant"
-                ) from exc
-            children, total = _split(
-                leaf.space, block, _branching_candidates(cands, leaf.nu_asc)
+        try:
+            leaves = _refine(leaves, _jm_maps(k, basis), f"X({k})", _corner_contents)
+        except NotInvariantError as exc:
+            raise InternalCheckError(
+                f"X({k}) failed to leave a chain eigenspace invariant"
+            ) from exc
+        total = sum(leaf.space.dim for leaf in leaves if not leaf.remainder)
+        if total != d:
+            raise InternalCheckError(
+                f"C({k}) eigenspace dimensions sum to {total}, expected {d}"
             )
-            if total != leaf.space.dim:
-                raise InternalCheckError(
-                    f"C({k}) eigenspace dimensions sum to {total}, expected {leaf.space.dim}"
-                )
-            for nu, sub in children:
-                new_leaves.append(_Leaf(sub, leaf.nu_asc + (nu,), ()))
-        leaves = new_leaves
-    leaves.sort(key=lambda lf: tuple(reversed(lf.nu_asc)), reverse=True)
 
     if state_ops:
         ops_queue = [normalize_state_pairs(op, basis) for op in state_ops]
@@ -272,46 +284,27 @@ def resolve(basis: OrbitBasis, state_ops: Sequence[Sequence[Sequence[int]]] | No
         if auto and not any(lf.space.dim > 1 and not lf.remainder for lf in leaves):
             break
         maps = state_maps(op, basis)
-        terms = len(op)
-        cands = tuple(range(terms, -terms - 1, -1))
-        label = _state_op_text(op, basis)
+        cands = tuple(range(len(op), -len(op) - 1, -1))
         try:
-            blocks = [
-                None if leaf.remainder else _block(leaf.space, maps, label)
-                for leaf in leaves
-            ]
+            leaves = _refine(
+                leaves, maps, _state_op_text(op, basis.alphabet), lambda leaf: cands
+            )
         except NotInvariantError:
             skipped.append(op)
             continue
-        new_leaves = []
-        for leaf, block in zip(leaves, blocks):
-            if leaf.remainder:
-                new_leaves.append(leaf)
-                continue
-            children, total = _split(leaf.space, block, cands)
-            if total > leaf.space.dim:
-                raise InternalCheckError(f"{label}: eigenspaces overfill the leaf")
-            for c, sub in children:
-                new_leaves.append(_Leaf(sub, leaf.nu_asc, leaf.state_labels + (c,)))
-            if total < leaf.space.dim:
-                # the operator has irrational eigenvalues on the rest of this
-                # leaf; freeze it so later labels stay aligned
-                rem = _orthogonal_remainder(leaf.space, children)
-                if rem.dim != leaf.space.dim - total:
-                    raise InternalCheckError(f"{label}: remainder dimension mismatch")
-                new_leaves.append(
-                    _Leaf(rem, leaf.nu_asc, leaf.state_labels, remainder=True)
-                )
-        leaves = new_leaves
         applied.append(op)
 
+    def nu(leaf: _Leaf) -> tuple[int, ...]:
+        # nu_k is the sum of the box contents up to k
+        return tuple(accumulate(leaf.labels[: n - 1]))[::-1]
+
+    # each chain leaf has its own nu and its state-operator children stay
+    # contiguous, so one stable sort gives the descending-chain order
+    leaves.sort(key=nu, reverse=True)
     vectors: list[LabeledVector] = []
     for leaf in leaves:
-        chain = LabelChain(tuple(reversed(leaf.nu_asc)), leaf.state_labels)
-        try:
-            tableau = tableau_from_chain(chain.nu)
-        except ValueError as exc:
-            raise InternalCheckError(f"unrealizable chain {chain.nu} emerged") from exc
+        chain = LabelChain(nu(leaf), leaf.labels[n - 1:])
+        tableau = tableau_from_chain(chain.nu)
         if leaf.space.dim == 1:
             coeffs, norm_sq = normalize(leaf.space.rows[0])
             vectors.append(LabeledVector(chain, tableau, None, coeffs, norm_sq))
@@ -329,8 +322,9 @@ def resolve(basis: OrbitBasis, state_ops: Sequence[Sequence[Sequence[int]]] | No
     )
 
 
-def _state_op_text(op: StateOp, basis: OrbitBasis) -> str:
-    labels = basis.alphabet.labels
+def _state_op_text(op: StateOp, alphabet: StateAlphabet) -> str:
+    """A state operator as written on the command line: "(a b)+(c d)"."""
+    labels = alphabet.labels
     return "+".join(f"({labels[s]} {labels[t]})" for s, t in op)
 
 
@@ -456,10 +450,7 @@ def verify_table(table: CGTable) -> VerifyReport:
 
     failures = []
     jm_failures = []
-    jm_maps = [
-        element_maps([transposition(i, j, n) for i in range(1, j)], basis)
-        for j in range(2, n + 1)
-    ]
+    jm_maps = [_jm_maps(j, basis) for j in range(2, n + 1)]
     op_maps = [state_maps(op, basis) for op in table.state_ops]
     for i, v in enumerate(vecs):
         coeffs = v.coeffs

@@ -37,9 +37,11 @@ def test_parse_state_ops():
 # SHA-256 of `<subcommand> ... --format json` stdout.  The basis tables were
 # pinned from the rational-arithmetic solver, and the verify reports from the
 # all-pairs orthogonality and Fraction Parseval checks; the integer core, the
-# branching-rule candidates and the packed checks must reproduce them byte
-# for byte
+# branching-rule candidates, the packed checks and the X(k) chain split must
+# reproduce them byte for byte
 STATE_OPS = ["--state-ops", "(a b)+(b c)+(a c),(a b)"]
+# (a c) does not leave the (a b)+(c d) eigenspaces invariant, so it is skipped
+SKIPPED_OP = ["--state-ops", "(a b)+(c d),(a c)"]
 PINNED_JSON = [
     pytest.param(["basis", "--config", "aaabbc"], 2,
                  "3f0429642a866f04a5650351a48834a9126b808cc97dd976d441c9d280bddb01",
@@ -74,6 +76,20 @@ PINNED_JSON = [
     pytest.param(["verify", "--config", "aabbcc", *STATE_OPS], 0,
                  "3bad0838e5f84249117cf18a5af56580ef109338c65444dba84bffa7a05c2cb1",
                  id="verify-aabbcc-state-ops"),
+    # a skipped state operator, the 280-ket largest chain-only word, and a
+    # complete lift by a three-term state operator
+    pytest.param(["basis", "--config", "abcd", *SKIPPED_OP], 2,
+                 "f49f192c82e30ce8d9bd8bd9b4d058c3f6b3bfcfd5ef6f9fe9fb729adefe2009",
+                 id="abcd-skipped-op"),
+    pytest.param(["basis", "--config", "aaaabbbc"], 2,
+                 "e697807f97df9458c3bbff37e2f310458226c56f92d999b9a0374afefbce6dd6",
+                 id="aaaabbbc"),
+    pytest.param(["basis", "--config", "abcd", *STATE_OPS], 0,
+                 "a14946d25f14309cd5fb7796b9cc3233a08169e50fe738e6d3d0a5dda475cc50",
+                 id="abcd-state-ops"),
+    pytest.param(["verify", "--config", "abcd", *SKIPPED_OP], 2,
+                 "97db37d26449330e38dd05efe54e1489eff6024f04991aaf711d1e2c010104c4",
+                 id="verify-abcd-skipped-op"),
 ]
 
 
@@ -82,6 +98,15 @@ def test_basis_json_matches_pinned_digest(args, want_code, digest, capsys):
     code, out, err = run_cli([*args, "--format", "json"], capsys)
     assert code == want_code
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_basis_text_with_skipped_state_operator(capsys):
+    code, out, err = run_cli(["basis", "--config", "abcd", *SKIPPED_OP], capsys)
+    assert code == 2
+    assert "skipped state operators (not invariant on every leaf): (a c)" in out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "c4435bcf97e53657ea2abec7e76cdbd7a39e05e6e15c1f65cc57a6d9daef138b"
+    )
 
 
 def test_basis_aab_text(capsys):
@@ -201,6 +226,14 @@ def test_missing_ordering_file_exits_one(capsys):
     code, out, err = run_cli(["basis", "--config", "aab", "--order", "/nonexistent.ord"], capsys)
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize("text", ["", " ", ","])
+def test_empty_state_ops_exits_one(text, capsys):
+    code, out, err = run_cli(["basis", "--config", "abc", "--state-ops", text], capsys)
+    assert code == 1
+    assert out == ""
+    assert "error: empty state operator" in err
 
 
 def test_orbit_escaping_state_op_exits_one(capsys):
