@@ -1,11 +1,13 @@
 """Exact symmetry-adapted bases for symmetric-group configuration spaces.
 
 The package resolves the orbit of a particle configuration under S_n into
-simultaneous integer eigenspaces of the transposition class-sum operators
-C(n), ..., C(2) (lifting leftover multiplicity with state-permutation
-operators), and reads exact coupling coefficients off the resulting
-labeled basis.  All arithmetic is exact rational; coefficients come out
-as integers under a square root, never floats.
+simultaneous integer eigenspaces of the Jucys-Murphy elements
+X(2), ..., X(n), whose partial sums are the transposition class sums
+C(k) = X(2) + ... + X(k) (lifting leftover multiplicity with
+state-permutation operators), and reads exact coupling coefficients off
+the resulting labeled basis.  All arithmetic is exact integer
+arithmetic; coefficients come out as integers under a square root, never
+floats.
 """
 
 from .configs import (

@@ -6,8 +6,8 @@ class-operator spectra, and verification reports.
     symadapt verify      --config abcd
 
 Exit codes are a stable contract: 0 on success with a complete labeling,
-1 on input errors (or failed verification), 2 when a table is emitted
-with honestly flagged residual degeneracy.
+1 on input or usage errors (or failed verification), 2 when a table is
+emitted with honestly flagged residual degeneracy.
 """
 from __future__ import annotations
 
@@ -16,27 +16,21 @@ import csv
 import io
 import json
 import os
-import random
 import sys
 from dataclasses import dataclass
 
 from .configs import OrbitBasis, StateAlphabet, alphabet_for, orbit, parse_ordering
-from .linalg import candidate_eigenvalues, eigenspace
-from .operators import class_operator, dump_matrix, element_maps, ket_map, state_maps, state_operator
-from .perm import compose, random_permutation, subgroup_transpositions
+from .operators import class_operator, dump_matrix, state_operator
 from .solver import (
     CGTable,
-    Check,
     StateOp,
     VerifyReport,
+    _module_invariant_checks,
     _state_op_text,
-    block_structure_check,
     resolve,
+    spectrum,
     verify_table,
 )
-
-_BLOCK_CHECK_SEED = 1729
-_BLOCK_CHECK_ELEMENTS = 10
 
 
 @dataclass(frozen=True)
@@ -222,26 +216,6 @@ def cmd_basis(spec: RunSpec) -> int:
     return 0 if table.complete else 2
 
 
-def spectrum(basis: OrbitBasis, k: int) -> list[tuple[int, int]]:
-    """Realized eigenvalues of C(k) on the orbit with multiplicities,
-    rarest first, ties broken by descending eigenvalue."""
-    matrix = class_operator(k, basis)
-    found = []
-    total = 0
-    for nu in candidate_eigenvalues(k):
-        dim = eigenspace(matrix, nu).dim
-        if dim:
-            found.append((nu, dim))
-            total += dim
-    if total != len(basis):
-        raise RuntimeError(
-            f"eigenspace dimensions sum to {total}, expected {len(basis)}; "
-            "this signals an implementation bug"
-        )
-    found.sort(key=lambda pair: (pair[1], -pair[0]))
-    return found
-
-
 def cmd_eigenvalues(spec: RunSpec, k: int) -> int:
     basis = make_basis(spec)
     if not 2 <= k <= basis.degree:
@@ -266,41 +240,6 @@ def cmd_eigenvalues(spec: RunSpec, k: int) -> int:
     else:
         sys.stdout.write(", ".join(f"{nu}:{mult}" for nu, mult in pairs) + "\n")
     return 0
-
-
-def _module_invariant_checks(table: CGTable) -> list[Check]:
-    """Deterministic extra checks run by `verify` on top of verify_table."""
-    basis = table.basis
-    n = basis.degree
-    rng = random.Random(_BLOCK_CHECK_SEED)
-    elements = [random_permutation(n, rng) for _ in range(_BLOCK_CHECK_ELEMENTS)]
-    checks = [block_structure_check(table, elements)]
-
-    bad = []
-    for _ in range(5):
-        p = random_permutation(n, rng)
-        q = random_permutation(n, rng)
-        sp, sq, spq = (ket_map(x, basis) for x in (p, q, compose(p, q)))
-        if tuple(sp[j] for j in sq) != spq:
-            bad.append((str(p), str(q)))
-    checks.append(
-        Check("representation_property", "PASS" if not bad else "FAIL",
-              "" if not bad else f"M(p)M(q) != M(pq) for {bad}")
-    )
-
-    if table.state_ops:
-        bad_pairs = []
-        g_maps = element_maps(subgroup_transpositions(n, n), basis)
-        for op in table.state_ops:
-            for smap in state_maps(op, basis):
-                for gmap in g_maps:
-                    if tuple(smap[j] for j in gmap) != tuple(gmap[j] for j in smap):
-                        bad_pairs.append(op)
-        checks.append(
-            Check("state_particle_commutation", "PASS" if not bad_pairs else "FAIL",
-                  "" if not bad_pairs else f"non-commuting state operators {bad_pairs}")
-        )
-    return checks
 
 
 def cmd_verify(spec: RunSpec) -> int:
@@ -342,8 +281,17 @@ def cmd_verify(spec: RunSpec) -> int:
 
 # ----------------------------- entry point -----------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, the input-error code;
+    argparse's own 2 is the code for a flagged residue."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="symadapt",
         description=(
             "Exact symmetry-adapted bases and coupling-coefficient tables for "
@@ -352,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--config", required=True,
                         help="configuration word, e.g. 'aab' or 'alpha,alpha,beta'")
     common.add_argument("--alphabet", default=None,

@@ -3,10 +3,11 @@
 resolve() splits the orbit space into joint integer eigenspaces of the
 Jucys-Murphy elements X(k) = (1 k) + ... + (k-1 k), k = 2..n, then lifts
 any remaining multiplicity with state-permutation operators; one routine,
-_refine, applies every operator.  Every one-dimensional piece becomes a
-labeled basis vector: its eigenvalue chain, the standard Young tableau the
-chain encodes, and exact integer coefficients c with an implied overall
-factor 1/sqrt(norm_sq).  The coefficient table read off this basis is the
+_refine, applies every operator, and spectrum() reads the C(k) spectrum
+off the same chain.  Every one-dimensional piece becomes a labeled basis
+vector: its eigenvalue chain, the standard Young tableau the chain
+encodes, and exact integer coefficients c with an implied overall factor
+1/sqrt(norm_sq).  The coefficient table read off this basis is the
 coupling-coefficient table of the configuration.
 
 On a leaf of shape lambda^(k-1), X(k) acts as the content of the box that
@@ -17,6 +18,7 @@ leaf's chain label nu_k is the sum of its first k box contents.
 """
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from itertools import accumulate
 from math import gcd, lcm
@@ -28,7 +30,6 @@ from .linalg import (
     NotInvariantError,
     Subspace,
     eigenrows_of_block,
-    intersect,
     kernel,
     restrict_apply,
     row_to_int,
@@ -40,10 +41,19 @@ from .operators import (
     normalize_state_pairs,
     state_maps,
 )
-from .perm import Permutation, transposition
+from .perm import (
+    Permutation,
+    compose,
+    random_permutation,
+    subgroup_transpositions,
+    transposition,
+)
 from .young import StandardTableau, addable_corners, tableau_from_chain
 
 StateOp = tuple[tuple[int, int], ...]
+
+_BLOCK_CHECK_SEED = 1729
+_BLOCK_CHECK_ELEMENTS = 10
 
 
 class InternalCheckError(RuntimeError):
@@ -136,7 +146,12 @@ class _Leaf:
 
 
 def _lift(coord_rows: Sequence[Sequence[int]], space: Subspace) -> Subspace:
-    """Span of integer coordinate rows over ``space``'s basis rows."""
+    """Span of canonical coordinate rows (as kernel() returns them) over
+    ``space``'s basis rows."""
+    # Both row sets are RREF with positive pivots, so a coordinate row with
+    # pivot q lifts to a row with positive pivot space.pivots[q] that is
+    # zero in the other lifted pivot columns: the lift is already RREF and
+    # only needs dividing by its gcd.
     support = [[(t, x) for t, x in enumerate(row) if x] for row in space.rows]
     out = []
     for crow in coord_rows:
@@ -145,8 +160,9 @@ def _lift(coord_rows: Sequence[Sequence[int]], space: Subspace) -> Subspace:
             if c:
                 for t, x in nonzero:
                     acc[t] += c * x
-        out.append(acc)
-    return Subspace.from_rows(space.ambient, out)
+        g = gcd(*acc)
+        out.append(tuple(acc) if g == 1 else tuple(a // g for a in acc))
+    return Subspace.from_kernel(space.ambient, tuple(out))
 
 
 def _refine(
@@ -214,9 +230,10 @@ def _jm_maps(j: int, basis: OrbitBasis) -> list[tuple[int, ...]]:
 
 
 def _orthogonal_remainder(space: Subspace, children: Sequence[Subspace]) -> Subspace:
-    stacked = [row for sub in children for row in sub.rows]
-    comp = Subspace.from_kernel(space.ambient, kernel(stacked, space.ambient))
-    return intersect(space, comp)
+    """The part of ``space`` orthogonal to every child row, solved in the
+    leaf's coordinates: x lifts into it when sum_i x_i (z_i . c) = 0."""
+    gram = [[_dot(z, c) for z in space.rows] for sub in children for c in sub.rows]
+    return _lift(kernel(gram, space.dim), space)
 
 
 def _gram_schmidt(rows: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -234,6 +251,37 @@ def _gram_schmidt(rows: Sequence[Sequence[int]]) -> list[list[int]]:
                 v = [x // g for x in v]
         basis.append((v, _dot(v, v)))
     return [v for v, _ in basis]
+
+
+def _chain(basis: OrbitBasis, k: int) -> list[_Leaf]:
+    """The orbit split into joint eigenspaces of X(2), ..., X(k); each
+    leaf's labels are its first k - 1 box contents."""
+    d = len(basis)
+    leaves = [_Leaf(Subspace.full(d), ())]
+    for j in range(2, k + 1):
+        try:
+            leaves = _refine(leaves, _jm_maps(j, basis), f"X({j})", _corner_contents)
+        except NotInvariantError as exc:
+            raise InternalCheckError(
+                f"X({j}) failed to leave a chain eigenspace invariant"
+            ) from exc
+        total = sum(leaf.space.dim for leaf in leaves if not leaf.remainder)
+        if total != d:
+            raise InternalCheckError(
+                f"C({j}) eigenspace dimensions sum to {total}, expected {d}"
+            )
+    return leaves
+
+
+def spectrum(basis: OrbitBasis, k: int) -> list[tuple[int, int]]:
+    """Realized eigenvalues of C(k) on the orbit with multiplicities,
+    rarest first, ties broken by descending eigenvalue.  C(k) acts on a
+    chain leaf as the sum of its box contents."""
+    counts: dict[int, int] = {}
+    for leaf in _chain(basis, k):
+        nu = sum(leaf.labels)
+        counts[nu] = counts.get(nu, 0) + leaf.space.dim
+    return sorted(counts.items(), key=lambda pair: (pair[1], -pair[0]))
 
 
 def resolve(basis: OrbitBasis, state_ops: Sequence[Sequence[Sequence[int]]] | None = None) -> CGTable:
@@ -257,21 +305,7 @@ def resolve(basis: OrbitBasis, state_ops: Sequence[Sequence[Sequence[int]]] | No
     "unlabeled" and the table's ``complete`` flag drops to False.
     """
     n = basis.degree
-    d = len(basis)
-    leaves = [_Leaf(Subspace.full(d), ())]
-    for k in range(2, n + 1):
-        try:
-            leaves = _refine(leaves, _jm_maps(k, basis), f"X({k})", _corner_contents)
-        except NotInvariantError as exc:
-            raise InternalCheckError(
-                f"X({k}) failed to leave a chain eigenspace invariant"
-            ) from exc
-        total = sum(leaf.space.dim for leaf in leaves if not leaf.remainder)
-        if total != d:
-            raise InternalCheckError(
-                f"C({k}) eigenspace dimensions sum to {total}, expected {d}"
-            )
-
+    leaves = _chain(basis, n)
     if state_ops:
         ops_queue = [normalize_state_pairs(op, basis) for op in state_ops]
         auto = False
@@ -549,6 +583,43 @@ def block_structure_check(table: CGTable, elements: Sequence[Permutation]) -> Ch
     return Check("block_structure", "PASS")
 
 
+def _module_invariant_checks(table: CGTable) -> list[Check]:
+    """Deterministic extra checks run by `verify` on top of verify_table:
+    block structure under seeded random elements, the representation
+    property, and state-particle commutation."""
+    basis = table.basis
+    n = basis.degree
+    rng = random.Random(_BLOCK_CHECK_SEED)
+    elements = [random_permutation(n, rng) for _ in range(_BLOCK_CHECK_ELEMENTS)]
+    checks = [block_structure_check(table, elements)]
+
+    bad = []
+    for _ in range(5):
+        p = random_permutation(n, rng)
+        q = random_permutation(n, rng)
+        sp, sq, spq = (ket_map(x, basis) for x in (p, q, compose(p, q)))
+        if tuple(sp[j] for j in sq) != spq:
+            bad.append((str(p), str(q)))
+    checks.append(
+        Check("representation_property", "PASS" if not bad else "FAIL",
+              "" if not bad else f"M(p)M(q) != M(pq) for {bad}")
+    )
+
+    if table.state_ops:
+        bad_pairs = []
+        g_maps = element_maps(subgroup_transpositions(n, n), basis)
+        for op in table.state_ops:
+            for smap in state_maps(op, basis):
+                for gmap in g_maps:
+                    if tuple(smap[j] for j in gmap) != tuple(gmap[j] for j in smap):
+                        bad_pairs.append(op)
+        checks.append(
+            Check("state_particle_commutation", "PASS" if not bad_pairs else "FAIL",
+                  "" if not bad_pairs else f"non-commuting state operators {bad_pairs}")
+        )
+    return checks
+
+
 __all__ = [
     "InternalCheckError",
     "LabelChain",
@@ -558,6 +629,7 @@ __all__ = [
     "normalize",
     "default_state_ops",
     "resolve",
+    "spectrum",
     "verify_table",
     "VerifyReport",
     "Check",

@@ -3,8 +3,9 @@
 The oracles recompute results by a route the package never takes: full
 n! enumeration instead of generator closure, backtracking tableau fills
 instead of corner growth, spectral projection products instead of kernel
-extraction, semistandard fillings for multiplicities, and the all-pairs
-dot-product and Fraction Parseval checks instead of packed Gram rows.
+extraction, semistandard fillings for multiplicities, the all-pairs
+dot-product and Fraction Parseval checks instead of packed Gram rows, and
+dense C(k) eigenspaces instead of the Jucys-Murphy chain's leaves.
 
 The helpers (dense matrix products, matrix-dump parsing, a Fraction RREF
 view of the package's elimination, cycle-notation parsing and inverses)
@@ -16,8 +17,8 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
-from symadapt.linalg import _jordan, row_to_int
-from symadapt.operators import element_maps, ket_map, state_maps
+from symadapt.linalg import _jordan, candidate_eigenvalues, eigenspace, row_to_int
+from symadapt.operators import class_operator, element_maps, ket_map, state_maps
 from symadapt.perm import Permutation, subgroup_transpositions, transposition
 from symadapt.solver import Check, VerifyReport
 
@@ -126,6 +127,24 @@ def kostka(shape: tuple[int, ...], content: tuple[int, ...]) -> int:
 
     fill(0)
     return count
+
+
+def spectrum_reference(basis, k: int) -> list[tuple[int, int]]:
+    """Realized eigenvalues of C(k) with multiplicities, from the dense
+    matrix: one kernel per content sum, rarest first, ties broken by
+    descending eigenvalue."""
+    matrix = class_operator(k, basis)
+    found = []
+    total = 0
+    for nu in candidate_eigenvalues(k):
+        dim = eigenspace(matrix, nu).dim
+        if dim:
+            found.append((nu, dim))
+            total += dim
+    if total != len(basis):
+        raise RuntimeError(f"eigenspace dimensions sum to {total}, expected {len(basis)}")
+    found.sort(key=lambda pair: (pair[1], -pair[0]))
+    return found
 
 
 def mat_mul(a, b):

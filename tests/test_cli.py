@@ -90,6 +90,19 @@ PINNED_JSON = [
     pytest.param(["verify", "--config", "abcd", *SKIPPED_OP], 2,
                  "97db37d26449330e38dd05efe54e1489eff6024f04991aaf711d1e2c010104c4",
                  id="verify-abcd-skipped-op"),
+    # spectra pinned from the dense C(k) kernels, now read off the X(k) chain
+    pytest.param(["eigenvalues", "--config", "abcde", "--k", "5"], 0,
+                 "5b4a1611c3f4fdcbaaa730d8b1e5c1e7f5496caa5edc027db5d11d0d9c8281cb",
+                 id="eigenvalues-abcde-5"),
+    pytest.param(["eigenvalues", "--config", "aabbcd", "--k", "6"], 0,
+                 "7d3febc238780effa1f705dbf0932c6b4e206270fe203688bb90a7ce852a1894",
+                 id="eigenvalues-aabbcd-6"),
+    pytest.param(["eigenvalues", "--config", "aaaabbbc", "--k", "8"], 0,
+                 "8ac6782c2c6d55c7c4b095025cf1d30be862d8800c955f4c4105c9895e7dbbe2",
+                 id="eigenvalues-aaaabbbc-8"),
+    pytest.param(["eigenvalues", "--config", "aaaabbbc", "--k", "5"], 0,
+                 "509c590abb01f179b0f32a1253571c6dee0b009ca44e50fac37a0b7b06872c83",
+                 id="eigenvalues-aaaabbbc-5"),
 ]
 
 
@@ -212,6 +225,20 @@ def test_basis_incomplete_exits_two(capsys):
     assert code == 2
     assert "complete: no" in out
     assert "[unlabeled]" in out
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(["basis"], id="missing-config"),
+    pytest.param(["basis", "--config", "aab", "--bogus"], id="unknown-flag"),
+    pytest.param(["basis", "--config", "aab", "--format", "xml"], id="bad-format"),
+    pytest.param(["eigenvalues", "--config", "aab", "--k", "x"], id="non-integer-k"),
+])
+def test_usage_error_exits_one(args, capsys):
+    # exit 2 means a flagged residue, so argparse's usage errors must not use it
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_bad_ordering_file_exits_one(tmp_path, capsys):

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from symadapt import solver
-from symadapt.operators import apply_maps, element_maps
+from symadapt.linalg import Subspace, intersect, kernel
+from symadapt.operators import apply_maps, element_maps, state_maps
 from symadapt.perm import random_permutation, subgroup_transpositions
 from symadapt.solver import (
     CGTable,
@@ -15,12 +16,13 @@ from symadapt.solver import (
     default_state_ops,
     normalize,
     resolve,
+    spectrum,
     verify_table,
 )
 from symadapt.young import partitions
 
 from helpers import make_basis, s3_distinct_basis
-from oracles import kostka, standard_tableaux
+from oracles import kostka, partitions_of, spectrum_reference, standard_tableaux
 
 
 def chains_to_vectors(table):
@@ -265,6 +267,33 @@ def test_multi_transposition_operator_with_irrational_remainder():
             assert apply_maps(maps, v.coeffs) == [lab * c for c in v.coeffs]
 
 
+def test_leaves_are_canonical_and_remainders_match_intersect():
+    # _lift wraps its rows without re-eliminating them, and the remainder
+    # is solved in leaf coordinates; both must give the canonical rows
+    # that ambient elimination gives
+    basis = make_basis("abcd")
+    chain = solver._chain(basis, 4)
+    maps = state_maps([(0, 1), (1, 2), (2, 3)], basis)
+    leaves = solver._refine(chain, maps, "path", lambda leaf: range(3, -4, -1))
+    for leaf in leaves:
+        space = leaf.space
+        canon = Subspace.from_rows(space.ambient, space.rows)
+        assert (space.rows, space.pivots) == (canon.rows, canon.pivots)
+    remainders = [leaf for leaf in leaves if leaf.remainder]
+    assert remainders
+    d = len(basis)
+    for rem in remainders:
+        parent = next(leaf for leaf in chain if leaf.labels == rem.labels)
+        rows = [
+            row
+            for leaf in leaves
+            if not leaf.remainder and leaf.labels[:-1] == parent.labels
+            for row in leaf.space.rows
+        ]
+        want = intersect(parent.space, Subspace.from_kernel(d, kernel(rows, d)))
+        assert rem.space.rows == want.rows
+
+
 def test_sum_operator_labels_beyond_plus_minus_one():
     # (a b)+(a c)+(b c) is the full state-side class sum; on the regular
     # orbit it labels the trivial and sign shapes with +3 and -3
@@ -288,3 +317,18 @@ def test_vectors_satisfy_every_chain_equation():
                 nu_k = v.chain.nu[n - k]
                 assert apply_maps(maps, v.coeffs) == [nu_k * c for c in v.coeffs]
         assert len(table.vectors) == len(basis)
+
+
+SPECTRUM_CASES = [
+    ("".join(c * m for c, m in zip("abcde", pattern)), k)
+    for n in range(2, 6)
+    for pattern in partitions_of(n)
+    for k in range(2, n + 1)
+]
+
+
+@pytest.mark.parametrize("config,k", SPECTRUM_CASES)
+def test_spectrum_matches_dense_oracle(config, k):
+    # the chain's leaf contents against dense C(k) eigenspaces
+    basis = make_basis(config)
+    assert spectrum(basis, k) == spectrum_reference(basis, k)
