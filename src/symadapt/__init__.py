@@ -20,21 +20,7 @@ from .configs import (
     orbit,
     parse_ordering,
 )
-from .linalg import (
-    NotInvariantError,
-    Subspace,
-    candidate_eigenvalues,
-    eigenspace,
-    intersect,
-    kernel,
-    restrict,
-)
-from .operators import (
-    class_operator,
-    dump_matrix,
-    matrix_of_elements,
-    state_operator,
-)
+from .linalg import NotInvariantError, Subspace, kernel
 from .perm import (
     Permutation,
     compose,
@@ -70,15 +56,7 @@ __all__ = [
     "parse_ordering",
     "NotInvariantError",
     "Subspace",
-    "candidate_eigenvalues",
-    "eigenspace",
-    "intersect",
     "kernel",
-    "restrict",
-    "class_operator",
-    "dump_matrix",
-    "matrix_of_elements",
-    "state_operator",
     "Permutation",
     "compose",
     "cycle_string",

@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass
 
 from .configs import OrbitBasis, StateAlphabet, alphabet_for, orbit, parse_ordering
-from .operators import class_operator, dump_matrix, state_operator
+from .operators import class_maps, state_maps
 from .solver import (
     CGTable,
     StateOp,
@@ -80,7 +80,8 @@ def build_runspec(args: argparse.Namespace) -> RunSpec:
         with open(args.order, encoding="utf-8") as handle:
             ordering = tuple(parse_ordering(handle, alphabet))
     state_ops = None
-    if args.state_ops is not None:
+    # eigenvalues has no --state-ops
+    if getattr(args, "state_ops", None) is not None:
         state_ops = tuple(tuple(op) for op in parse_state_ops(args.state_ops, alphabet))
     return RunSpec(
         alphabet=alphabet,
@@ -99,11 +100,23 @@ def make_basis(spec: RunSpec) -> OrbitBasis:
     return basis
 
 
+def _dump_operator(maps, dim: int, label: str) -> None:
+    """Write an operator's matrix to stderr as a "dim=<d> label=<name>"
+    header and one row per line: row i counts the maps with sigma[j] = i."""
+    rows = [[0] * dim for _ in range(dim)]
+    for sigma in maps:
+        for j, i in enumerate(sigma):
+            rows[i][j] += 1
+    lines = [f"dim={dim} label={label}"]
+    lines.extend(" ".join(map(str, row)) for row in rows)
+    sys.stderr.write("\n".join(lines) + "\n")
+
+
 def _dump_operators(basis: OrbitBasis, state_ops) -> None:
     for k in range(2, basis.degree + 1):
-        sys.stderr.write(dump_matrix(class_operator(k, basis), f"C({k})"))
+        _dump_operator(class_maps(k, basis), len(basis), f"C({k})")
     for i, op in enumerate(state_ops or ()):
-        sys.stderr.write(dump_matrix(state_operator(op, basis), f"state_op_{i}"))
+        _dump_operator(state_maps(op, basis), len(basis), f"state_op_{i}")
 
 
 # ----------------------------- rendering -----------------------------
@@ -221,7 +234,7 @@ def cmd_eigenvalues(spec: RunSpec, k: int) -> int:
     if not 2 <= k <= basis.degree:
         raise ValueError(f"--k must lie in 2..{basis.degree}, got {k}")
     if spec.verbose:
-        sys.stderr.write(dump_matrix(class_operator(k, basis), f"C({k})"))
+        _dump_operator(class_maps(k, basis), len(basis), f"C({k})")
     pairs = spectrum(basis, k)
     if spec.fmt == "json":
         obj = {
@@ -300,28 +313,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = _Parser(add_help=False)
-    common.add_argument("--config", required=True,
-                        help="configuration word, e.g. 'aab' or 'alpha,alpha,beta'")
-    common.add_argument("--alphabet", default=None,
-                        help="state alphabet, e.g. 'abc' or 'alpha,beta,gamma' "
-                             "(default: the sorted distinct labels of --config)")
-    common.add_argument("--order", default=None, metavar="FILE",
-                        help="orbit ordering override: one configuration word per line")
-    common.add_argument("--state-ops", default=None, metavar="LIST",
-                        help="state operators, e.g. '(a b)' or '(a b),(a b)+(a c)+(b c)'")
-    common.add_argument("--format", default="text", choices=("text", "csv", "json"))
-    common.add_argument("--verbose", action="store_true",
-                        help="dump operator matrices to standard error")
+    def add_options(cmd: argparse.ArgumentParser, state_ops: bool) -> None:
+        cmd.add_argument("--config", required=True,
+                         help="configuration word, e.g. 'aab' or 'alpha,alpha,beta'")
+        cmd.add_argument("--alphabet", default=None,
+                         help="state alphabet, e.g. 'abc' or 'alpha,beta,gamma' "
+                              "(default: the sorted distinct labels of --config)")
+        cmd.add_argument("--order", default=None, metavar="FILE",
+                         help="orbit ordering override: one configuration word per line")
+        if state_ops:
+            cmd.add_argument("--state-ops", default=None, metavar="LIST",
+                             help="state operators, e.g. '(a b)' or '(a b),(a b)+(a c)+(b c)'")
+        cmd.add_argument("--format", default="text", choices=("text", "csv", "json"))
+        cmd.add_argument("--verbose", action="store_true",
+                         help="dump operator matrices to standard error")
 
-    sub.add_parser("basis", parents=[common],
-                   help="compute and print the labeled basis / coefficient table")
-    eig = sub.add_parser("eigenvalues", parents=[common],
+    add_options(sub.add_parser(
+        "basis", help="compute and print the labeled basis / coefficient table"), True)
+    eig = sub.add_parser("eigenvalues",
                          help="print the realized eigenvalue multiset of a class operator")
+    add_options(eig, False)
     eig.add_argument("--k", type=int, required=True,
                      help="subgroup degree k of the class operator C(k)")
-    sub.add_parser("verify", parents=[common],
-                   help="recompute the table and run the exact verification suite")
+    add_options(sub.add_parser(
+        "verify", help="recompute the table and run the exact verification suite"), True)
     return parser
 
 

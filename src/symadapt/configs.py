@@ -19,8 +19,9 @@ from typing import Iterable, Iterator, Sequence
 
 from .perm import Permutation
 
-# Exact linear algebra cost grows like orbit^3; 8! = 40320 is the practical
-# ceiling for the dense representation this package uses.
+# The hard limit on the number of particles: 8! = 40320 kets.  Exact
+# elimination inside the chain pieces grows like orbit^3, so orbits of more
+# than a few hundred kets are slow well before this limit.
 MAX_DEGREE = 8
 
 _FORBIDDEN_IN_LABEL = set(" \t,()+")
@@ -141,15 +142,20 @@ def act_state(s: Permutation, word: Sequence[int]) -> Word:
 
 
 class OrbitBasis:
-    """The ordered, deduplicated particle-action orbit of a configuration."""
+    """The ordered, deduplicated particle-action orbit of a configuration.
 
-    __slots__ = ("alphabet", "seed", "configs", "_index")
+    ``_jm_maps`` holds the Jucys-Murphy ket maps that operators.jm_maps
+    builds on this basis, so they are built once and die with it.
+    """
+
+    __slots__ = ("alphabet", "seed", "configs", "_index", "_jm_maps")
 
     def __init__(self, alphabet: StateAlphabet, seed: Word, configs: Sequence[Word]):
         self.alphabet = alphabet
         self.seed = tuple(seed)
         self.configs = tuple(tuple(w) for w in configs)
         self._index = {w: i for i, w in enumerate(self.configs)}
+        self._jm_maps: dict[int, tuple[tuple[int, ...], ...]] = {}
         if len(self._index) != len(self.configs):
             raise ValueError("orbit basis contains duplicate configurations")
 

@@ -1,26 +1,20 @@
-"""Exact linear algebra over the integers: kernels, integer eigenspaces,
-restriction to invariant subspaces, and subspace intersection.
+"""Exact linear algebra over the integers: kernels, blocks of operators
+on invariant subspaces, and their integer eigenspaces.
 
 A Subspace holds its basis as primitive integer rows in reduced row
 echelon form: every row has gcd 1 and a positive pivot entry, and is
 zero in the pivot columns of the other rows.  That form is canonical, so
 subspace equality is plain structural equality.  Elimination runs
-fraction-free over Python integers with per-row gcd reduction, and no
-internal step forms a Fraction.  Fractions appear only at the public
-edge: restrict() and Subspace.coords() return them, and kernel(),
-eigenspace() and Subspace.from_rows() accept rational input.
+fraction-free over Python integers with per-row gcd reduction; input and
+output are integers throughout.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Sequence
 
-from .young import content_sum, partitions
-
 IntRow = tuple[int, ...]
-Row = tuple[Fraction, ...]
-Matrix = Sequence[Sequence]
+Matrix = Sequence[Sequence[int]]
 
 
 class NotInvariantError(ValueError):
@@ -30,19 +24,6 @@ class NotInvariantError(ValueError):
     def __init__(self, message: str, witness: tuple[int, ...]):
         super().__init__(message)
         self.witness = witness
-
-
-def row_to_int(row: Sequence) -> list[int]:
-    """Scale a rational row to integers (per-row lcm of denominators)."""
-    if set(map(type, row)) <= {int}:
-        return list(row)
-    den = 1
-    for x in row:
-        if isinstance(x, Fraction):
-            den = lcm(den, x.denominator)
-    if den == 1:
-        return [int(x) for x in row]
-    return [int(x * den) for x in row]
 
 
 def _reduce_row(row: list[int]) -> list[int]:
@@ -109,12 +90,13 @@ def _canonical(rows: list[list[int]]) -> tuple[tuple[IntRow, ...], tuple[int, ..
 
 
 def kernel(matrix: Matrix, ncols: int | None = None) -> tuple[IntRow, ...]:
-    """A canonical basis of the right nullspace of ``matrix``: primitive
-    integer rows in reduced row echelon form, each with a positive pivot.
+    """A canonical basis of the right nullspace of the integer ``matrix``:
+    primitive integer rows in reduced row echelon form, each with a
+    positive pivot.
 
     ``ncols`` must be given when the matrix has no rows.
     """
-    rows = [row_to_int(r) for r in matrix]
+    rows = [list(r) for r in matrix]
     if rows:
         ncols = len(rows[0])
     elif ncols is None:
@@ -155,15 +137,6 @@ class Subspace:
         self.pivots = pivots
 
     @classmethod
-    def from_rows(cls, ambient: int, rows: Matrix) -> "Subspace":
-        """Span of arbitrary (integer or rational) rows, canonicalized."""
-        ints = [row_to_int(r) for r in rows]
-        for row in ints:
-            if len(row) != ambient:
-                raise ValueError(f"row length {len(row)} != ambient {ambient}")
-        return cls(ambient, *_canonical(ints))
-
-    @classmethod
     def from_kernel(cls, ambient: int, rows: tuple[IntRow, ...]) -> "Subspace":
         """Wrap rows that are already canonical, as kernel() returns them."""
         return cls(ambient, rows, tuple(next(t for t, x in enumerate(r) if x) for r in rows))
@@ -175,10 +148,6 @@ class Subspace:
         )
         return cls(ambient, rows, tuple(range(ambient)))
 
-    @classmethod
-    def zero(cls, ambient: int) -> "Subspace":
-        return cls(ambient, (), ())
-
     @property
     def dim(self) -> int:
         return len(self.rows)
@@ -187,24 +156,6 @@ class Subspace:
     def leads(self) -> tuple[int, ...]:
         """The pivot entry of each basis row."""
         return tuple(row[p] for row, p in zip(self.rows, self.pivots))
-
-    def coords(self, vec: Sequence) -> tuple[Fraction, ...] | None:
-        """Coordinates of ``vec`` in the row basis, or None if outside."""
-        if len(vec) != self.ambient:
-            raise ValueError(f"vector length {len(vec)} != ambient {self.ambient}")
-        coeffs = tuple(Fraction(vec[p]) / row[p] for row, p in zip(self.rows, self.pivots))
-        residual = [Fraction(x) for x in vec]
-        for a, row in zip(coeffs, self.rows):
-            if a:
-                for t, x in enumerate(row):
-                    if x:
-                        residual[t] -= a * x
-        if any(residual):
-            return None
-        return coeffs
-
-    def contains(self, vec: Sequence) -> bool:
-        return self.coords(vec) is not None
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -218,30 +169,6 @@ class Subspace:
 
     def __repr__(self) -> str:
         return f"Subspace(ambient={self.ambient}, dim={self.dim})"
-
-
-def eigenspace(matrix: Matrix, nu: int) -> Subspace:
-    """Kernel of (M - nu*I) as a canonical Subspace; empty when nu is not
-    an eigenvalue.  ``matrix`` must be square with exact entries."""
-    d = len(matrix)
-    rows = []
-    for i, row in enumerate(matrix):
-        if len(row) != d:
-            raise ValueError("eigenspace needs a square matrix")
-        rows.append([x - nu if t == i else x for t, x in enumerate(row)])
-    return Subspace.from_kernel(d, kernel(rows, d))
-
-
-def candidate_eigenvalues(k: int) -> tuple[int, ...]:
-    """Every integer a transposition class sum of S_k can take as an
-    eigenvalue: the content sums of the partitions of k, largest first.
-
-    >>> candidate_eigenvalues(3)
-    (3, 0, -3)
-    """
-    if k < 2:
-        raise ValueError(f"subgroup degree must be at least 2, got {k}")
-    return tuple(sorted({content_sum(lam) for lam in partitions(k)}, reverse=True))
 
 
 def restrict_apply(
@@ -289,31 +216,6 @@ def restrict_apply(
     return tuple(zip(*cols))
 
 
-def restrict(matrix: Matrix, space: Subspace) -> tuple[Row, ...]:
-    """Matrix of ``matrix`` in the row basis of ``space`` (must be invariant).
-
-    ``matrix`` must have integer entries; a non-integer entry raises
-    ValueError.
-    """
-    d = len(matrix)
-    if space.ambient != d:
-        raise ValueError(f"ambient mismatch: matrix {d}, subspace {space.ambient}")
-    int_matrix = []
-    for i, row in enumerate(matrix):
-        ints = [int(x) for x in row]
-        if ints != list(row):
-            raise ValueError(f"restrict needs an integer matrix; row {i} is {tuple(row)}")
-        int_matrix.append(ints)
-
-    def apply_int(vec):
-        return [sum(a * x for a, x in zip(row, vec) if a) for row in int_matrix]
-
-    block = restrict_apply(apply_int, space, "matrix")
-    return tuple(
-        tuple(Fraction(a, lead) for a in row) for row, lead in zip(block, space.leads)
-    )
-
-
 def eigenrows_of_block(
     block: Sequence[Sequence[int]], leads: Sequence[int], nu: int
 ) -> tuple[IntRow, ...]:
@@ -328,30 +230,10 @@ def eigenrows_of_block(
     return kernel(rows, len(rows))
 
 
-def intersect(s1: Subspace, s2: Subspace) -> Subspace:
-    """Exact intersection, computed through orthogonal complements:
-    (S1 ∩ S2) = (S1⊥ + S2⊥)⊥ for the standard bilinear form on Q^n."""
-    if s1.ambient != s2.ambient:
-        raise ValueError(f"ambient mismatch: {s1.ambient} != {s2.ambient}")
-    n = s1.ambient
-    comp1 = kernel(s1.rows, n) if s1.dim else Subspace.full(n).rows
-    comp2 = kernel(s2.rows, n) if s2.dim else Subspace.full(n).rows
-    stacked = tuple(comp1) + tuple(comp2)
-    if not stacked:
-        return Subspace.full(n)
-    return Subspace.from_kernel(n, kernel(stacked, n))
-
-
 __all__ = [
-    "Fraction",
-    "row_to_int",
     "NotInvariantError",
     "Subspace",
     "kernel",
-    "eigenspace",
-    "candidate_eigenvalues",
-    "restrict",
     "restrict_apply",
     "eigenrows_of_block",
-    "intersect",
 ]

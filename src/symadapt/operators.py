@@ -1,22 +1,18 @@
-"""Integer matrices of group-algebra elements on an orbit basis.
+"""Group-algebra elements on an orbit basis, as ket maps.
 
-The matrix element convention is M[i][j] = number of summed elements g
-with g|phi_j> = |phi_i>, so columns are images of basis kets and a single
-permutation gives a 0/1 permutation matrix.
-
-Since every operator here is a sum of basis-ket permutations, each one is
-also kept as a list of index maps (sigma with M[sigma(j)][j] += 1), which
-applies to a coefficient vector in O(dim + terms * nonzeros) instead of
-O(dim^2).
+Every operator here is a sum of permutations of the basis kets, so each
+one is held as the list of its terms' index maps: sigma[j] is the index
+of the ket that the term sends |phi_j> to.  The operator's matrix, with
+M[i][j] the number of terms that send |phi_j> to |phi_i>, is never
+built; apply_maps applies the sum to a coefficient vector in
+O(dim + terms * nonzeros).
 """
 from __future__ import annotations
 
 from typing import Sequence
 
 from .configs import OrbitBasis, act_particle, act_state
-from .perm import Permutation, subgroup_transpositions
-
-IntMatrix = tuple[tuple[int, ...], ...]
+from .perm import Permutation, transposition
 
 StatePair = tuple[int, int]
 
@@ -30,6 +26,26 @@ def ket_map(p: Permutation, basis: OrbitBasis) -> tuple[int, ...]:
 
 def element_maps(perms: Sequence[Permutation], basis: OrbitBasis) -> list[tuple[int, ...]]:
     return [ket_map(p, basis) for p in perms]
+
+
+def jm_maps(j: int, basis: OrbitBasis) -> tuple[tuple[int, ...], ...]:
+    """Ket maps of the terms (1 j), ..., (j-1 j) of the Jucys-Murphy
+    element X(j).
+
+    Each transposition (i j), i < j, is a term of X(j) alone; the maps are
+    kept on the basis, so every transposition is mapped once per basis.
+    """
+    maps = basis._jm_maps.get(j)
+    if maps is None:
+        perms = [transposition(i, j, basis.degree) for i in range(1, j)]
+        maps = basis._jm_maps[j] = tuple(element_maps(perms, basis))
+    return maps
+
+
+def class_maps(k: int, basis: OrbitBasis) -> list[tuple[int, ...]]:
+    """Ket maps of the transpositions of S_k, the terms of the class sum
+    C(k) = X(2) + ... + X(k)."""
+    return [sigma for j in range(2, k + 1) for sigma in jm_maps(j, basis)]
 
 
 def normalize_state_pairs(pairs: Sequence[Sequence[int]], basis: OrbitBasis) -> tuple[StatePair, ...]:
@@ -86,47 +102,13 @@ def apply_maps(maps: Sequence[tuple[int, ...]], vec: Sequence) -> list:
     return out
 
 
-def maps_to_matrix(maps: Sequence[tuple[int, ...]], dim: int) -> IntMatrix:
-    rows = [[0] * dim for _ in range(dim)]
-    for sigma in maps:
-        for j in range(dim):
-            rows[sigma[j]][j] += 1
-    return tuple(tuple(r) for r in rows)
-
-
-def matrix_of_elements(perms: Sequence[Permutation], basis: OrbitBasis) -> IntMatrix:
-    """M[i][j] = #{g in perms : g|phi_j> = |phi_i>}."""
-    return maps_to_matrix(element_maps(perms, basis), len(basis))
-
-
-def class_operator(k: int, basis: OrbitBasis) -> IntMatrix:
-    """Matrix of the transposition class sum of the embedded subgroup S_k."""
-    return matrix_of_elements(subgroup_transpositions(k, basis.degree), basis)
-
-
-def state_operator(pairs: Sequence[Sequence[int]], basis: OrbitBasis) -> IntMatrix:
-    """Matrix of a sum of state transpositions (an empty list gives zero)."""
-    return maps_to_matrix(state_maps(pairs, basis), len(basis))
-
-
-def dump_matrix(matrix: IntMatrix, label: str) -> str:
-    """Plain-text dump: header "dim=<d> label=<name>" then one row per line."""
-    lines = [f"dim={len(matrix)} label={label}"]
-    lines.extend(" ".join(str(x) for x in row) for row in matrix)
-    return "\n".join(lines) + "\n"
-
-
 __all__ = [
-    "IntMatrix",
     "ket_map",
     "element_maps",
+    "jm_maps",
+    "class_maps",
     "normalize_state_pairs",
     "state_map",
     "state_maps",
     "apply_maps",
-    "maps_to_matrix",
-    "matrix_of_elements",
-    "class_operator",
-    "state_operator",
-    "dump_matrix",
 ]

@@ -32,22 +32,16 @@ from .linalg import (
     eigenrows_of_block,
     kernel,
     restrict_apply,
-    row_to_int,
 )
 from .operators import (
     apply_maps,
-    element_maps,
+    class_maps,
+    jm_maps,
     ket_map,
     normalize_state_pairs,
     state_maps,
 )
-from .perm import (
-    Permutation,
-    compose,
-    random_permutation,
-    subgroup_transpositions,
-    transposition,
-)
+from .perm import Permutation, compose, random_permutation
 from .young import StandardTableau, addable_corners, tableau_from_chain
 
 StateOp = tuple[tuple[int, int], ...]
@@ -106,16 +100,15 @@ class CGTable:
         return self.basis.seed
 
 
-def normalize(vec: Sequence) -> tuple[tuple[int, ...], int]:
-    """Divide by the gcd, make the first nonzero entry positive, and return
-    (coeffs, sum of squares).  Rational entries are cleared first."""
-    ints = row_to_int(vec)
-    g = gcd(*ints)
+def normalize(vec: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """Divide an integer vector by its gcd, make the first nonzero entry
+    positive, and return (coeffs, sum of squares)."""
+    g = gcd(*vec)
     if not g:
         raise ValueError("cannot normalize the zero vector")
-    if next(a for a in ints if a) < 0:
+    if next(a for a in vec if a) < 0:
         g = -g
-    coeffs = tuple(a // g for a in ints)
+    coeffs = tuple(a // g for a in vec)
     return coeffs, sum(a * a for a in coeffs)
 
 
@@ -224,11 +217,6 @@ def _corner_contents(leaf: _Leaf) -> list[int]:
     return [c for _, c in addable_corners(shape)]
 
 
-def _jm_maps(j: int, basis: OrbitBasis) -> list[tuple[int, ...]]:
-    """Ket maps of the terms of the Jucys-Murphy element X(j) = sum_{i<j} (i j)."""
-    return element_maps([transposition(i, j, basis.degree) for i in range(1, j)], basis)
-
-
 def _orthogonal_remainder(space: Subspace, children: Sequence[Subspace]) -> Subspace:
     """The part of ``space`` orthogonal to every child row, solved in the
     leaf's coordinates: x lifts into it when sum_i x_i (z_i . c) = 0."""
@@ -260,7 +248,7 @@ def _chain(basis: OrbitBasis, k: int) -> list[_Leaf]:
     leaves = [_Leaf(Subspace.full(d), ())]
     for j in range(2, k + 1):
         try:
-            leaves = _refine(leaves, _jm_maps(j, basis), f"X({j})", _corner_contents)
+            leaves = _refine(leaves, jm_maps(j, basis), f"X({j})", _corner_contents)
         except NotInvariantError as exc:
             raise InternalCheckError(
                 f"X({j}) failed to leave a chain eigenspace invariant"
@@ -484,13 +472,13 @@ def verify_table(table: CGTable) -> VerifyReport:
 
     failures = []
     jm_failures = []
-    jm_maps = [_jm_maps(j, basis) for j in range(2, n + 1)]
+    x_maps = [jm_maps(j, basis) for j in range(2, n + 1)]
     op_maps = [state_maps(op, basis) for op in table.state_ops]
     for i, v in enumerate(vecs):
         coeffs = v.coeffs
         nu = v.chain.nu
         image = [0] * len(coeffs)
-        for j, maps in enumerate(jm_maps, start=2):
+        for j, maps in enumerate(x_maps, start=2):
             x_image = apply_maps(maps, coeffs)
             content = nu[n - j] - (nu[n - j + 1] if j > 2 else 0)
             if x_image != [content * c for c in coeffs]:
@@ -607,7 +595,7 @@ def _module_invariant_checks(table: CGTable) -> list[Check]:
 
     if table.state_ops:
         bad_pairs = []
-        g_maps = element_maps(subgroup_transpositions(n, n), basis)
+        g_maps = class_maps(n, basis)
         for op in table.state_ops:
             for smap in state_maps(op, basis):
                 for gmap in g_maps:

@@ -7,20 +7,143 @@ extraction, semistandard fillings for multiplicities, the all-pairs
 dot-product and Fraction Parseval checks instead of packed Gram rows, and
 dense C(k) eigenspaces instead of the Jucys-Murphy chain's leaves.
 
-The helpers (dense matrix products, matrix-dump parsing, a Fraction RREF
-view of the package's elimination, cycle-notation parsing and inverses)
-serve only the tests, so they live here rather than in the package.
+The dense representation lives here too.  The package holds every
+operator as ket maps and every subspace as integer rows; the tests check
+it against dense integer matrices of class sums and state operators,
+their eigenspaces for every content-sum candidate, restriction to an
+invariant subspace and subspace intersection, with rational input and
+output at the edge (row_to_int, from_rows, coords).
+
+The other helpers (dense matrix products, matrix-dump parsing, a
+Fraction RREF view of the package's elimination, cycle-notation parsing
+and inverses) serve only the tests as well.
 """
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from symadapt.linalg import _jordan, candidate_eigenvalues, eigenspace, row_to_int
-from symadapt.operators import class_operator, element_maps, ket_map, state_maps
+from symadapt.linalg import Subspace, _canonical, _jordan, kernel, restrict_apply
+from symadapt.operators import element_maps, ket_map, state_maps
 from symadapt.perm import Permutation, subgroup_transpositions, transposition
 from symadapt.solver import Check, VerifyReport
+from symadapt.young import content_sum, partitions
+
+
+def row_to_int(row) -> list[int]:
+    """Scale a rational row to integers (per-row lcm of denominators).
+    Scaling a row does not change its span or its nullspace."""
+    den = lcm(*(Fraction(x).denominator for x in row))
+    return [int(Fraction(x) * den) for x in row]
+
+
+def from_rows(ambient: int, rows) -> Subspace:
+    """The Subspace spanned by arbitrary integer or rational rows."""
+    ints = [row_to_int(r) for r in rows]
+    for row in ints:
+        if len(row) != ambient:
+            raise ValueError(f"row length {len(row)} != ambient {ambient}")
+    return Subspace(ambient, *_canonical(ints))
+
+
+def coords(space: Subspace, vec) -> tuple[Fraction, ...] | None:
+    """Coordinates of ``vec`` in the row basis of ``space``, or None if
+    the vector lies outside it."""
+    if len(vec) != space.ambient:
+        raise ValueError(f"vector length {len(vec)} != ambient {space.ambient}")
+    out = tuple(Fraction(vec[p]) / row[p] for row, p in zip(space.rows, space.pivots))
+    residual = [Fraction(x) for x in vec]
+    for a, row in zip(out, space.rows):
+        for t, x in enumerate(row):
+            residual[t] -= a * x
+    return None if any(residual) else out
+
+
+def contains(space: Subspace, vec) -> bool:
+    return coords(space, vec) is not None
+
+
+def maps_to_matrix(maps, dim: int):
+    """M[i][j] = number of maps with sigma[j] = i."""
+    rows = [[0] * dim for _ in range(dim)]
+    for sigma in maps:
+        for j in range(dim):
+            rows[sigma[j]][j] += 1
+    return tuple(tuple(r) for r in rows)
+
+
+def matrix_of_elements(perms, basis):
+    """M[i][j] = #{g in perms : g|phi_j> = |phi_i>}."""
+    return maps_to_matrix(element_maps(perms, basis), len(basis))
+
+
+def class_operator(k: int, basis):
+    """Dense matrix of the transposition class sum of the embedded S_k."""
+    return matrix_of_elements(subgroup_transpositions(k, basis.degree), basis)
+
+
+def state_operator(pairs, basis):
+    """Dense matrix of a sum of state transpositions (zero for no pairs)."""
+    return maps_to_matrix(state_maps(pairs, basis), len(basis))
+
+
+def eigenspace(matrix, nu: int) -> Subspace:
+    """Kernel of (M - nu*I) for a square integer matrix; empty when nu is
+    not an eigenvalue."""
+    d = len(matrix)
+    rows = []
+    for i, row in enumerate(matrix):
+        if len(row) != d:
+            raise ValueError("eigenspace needs a square matrix")
+        rows.append([x - nu if t == i else x for t, x in enumerate(row)])
+    return Subspace.from_kernel(d, kernel(rows, d))
+
+
+def candidate_eigenvalues(k: int) -> tuple[int, ...]:
+    """Every integer a transposition class sum of S_k can take as an
+    eigenvalue: the content sums of the partitions of k, largest first.
+
+    >>> candidate_eigenvalues(3)
+    (3, 0, -3)
+    """
+    if k < 2:
+        raise ValueError(f"subgroup degree must be at least 2, got {k}")
+    return tuple(sorted({content_sum(lam) for lam in partitions(k)}, reverse=True))
+
+
+def restrict(matrix, space: Subspace) -> tuple[tuple[Fraction, ...], ...]:
+    """Matrix of an integer ``matrix`` in the row basis of the invariant
+    subspace ``space``: the package's integer block divided by the pivot
+    entries.  A non-integer entry raises ValueError."""
+    d = len(matrix)
+    if space.ambient != d:
+        raise ValueError(f"ambient mismatch: matrix {d}, subspace {space.ambient}")
+    for i, row in enumerate(matrix):
+        if [int(x) for x in row] != list(row):
+            raise ValueError(f"restrict needs an integer matrix; row {i} is {tuple(row)}")
+
+    def apply_int(vec):
+        return [sum(int(a) * x for a, x in zip(row, vec) if a) for row in matrix]
+
+    block = restrict_apply(apply_int, space, "matrix")
+    return tuple(
+        tuple(Fraction(a, lead) for a in row) for row, lead in zip(block, space.leads)
+    )
+
+
+def intersect(s1: Subspace, s2: Subspace) -> Subspace:
+    """Exact intersection through orthogonal complements:
+    (S1 ∩ S2) = (S1⊥ + S2⊥)⊥ for the standard bilinear form on Q^n."""
+    if s1.ambient != s2.ambient:
+        raise ValueError(f"ambient mismatch: {s1.ambient} != {s2.ambient}")
+    n = s1.ambient
+    comp1 = kernel(s1.rows, n) if s1.dim else Subspace.full(n).rows
+    comp2 = kernel(s2.rows, n) if s2.dim else Subspace.full(n).rows
+    stacked = tuple(comp1) + tuple(comp2)
+    if not stacked:
+        return Subspace.full(n)
+    return Subspace.from_kernel(n, kernel(stacked, n))
 
 
 def all_elements(n: int) -> list[Permutation]:
@@ -168,7 +291,7 @@ def commutes(a, b) -> bool:
 
 
 def load_matrix_dump(text: str):
-    """Parse a symadapt.operators.dump_matrix() block back into (label, matrix)."""
+    """Parse one `--verbose` operator block back into (label, matrix)."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("dim="):
         raise ValueError("matrix dump must start with a 'dim=<d> label=<name>' header")

@@ -8,9 +8,11 @@ import sys
 
 import pytest
 
+from symadapt import operators, solver
 from symadapt.cli import canonical_json, main, parse_state_ops
 from symadapt.configs import StateAlphabet
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 DATA = os.path.join(os.path.dirname(__file__), "data")
 ORDER_FILE = os.path.join(DATA, "s3_distinct.ord")
 
@@ -298,6 +300,66 @@ def test_verbose_dumps_operators(capsys):
     assert code == 0
     assert "dim=3 label=C(2)" in err
     assert "dim=3 label=C(3)" in err
+
+
+# SHA-256 of the `--verbose` stderr, pinned from the dense C(k) and
+# state-operator matrices; the dump now reads the rows off the ket maps
+@pytest.mark.parametrize("args,want_code,digest", [
+    pytest.param(["basis", "--config", "aab"], 0,
+                 "597611bb8c7bf2443f689246893f4d9ebef68b0f4ec077663f0b8d627ef73dc1",
+                 id="basis-aab"),
+    pytest.param(["verify", "--config", "aabbcc", "--state-ops", "(a b)"], 2,
+                 "b5a9629724ec07327b554d06033bf43beac145f96ba80da7695c06a82b661b29",
+                 id="verify-aabbcc-state-op"),
+    pytest.param(["eigenvalues", "--config", "abcd", "--k", "3"], 0,
+                 "ac8e6441d53d892e571f3a8fbdb7c02e20322322babd3f0b440dda71a00d9512",
+                 id="eigenvalues-abcd-3"),
+])
+def test_verbose_stderr_matches_pinned_digest(args, want_code, digest, capsys):
+    code, out, err = run_cli([*args, "--verbose"], capsys)
+    assert code == want_code
+    assert hashlib.sha256(err.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("args,want", [
+    pytest.param(["verify", "--config", "aabbcd", "--format", "json"], 40, id="verify-aabbcd"),
+    pytest.param(["verify", "--config", "abcde", "--format", "json"], 35, id="verify-abcde"),
+    pytest.param(["basis", "--config", "aab", "--verbose"], 3, id="basis-aab-verbose"),
+])
+def test_each_transposition_is_mapped_once_per_basis(args, want, monkeypatch, capsys):
+    # the chain, verify_table's X(j), the state-particle commutation check
+    # and the C(k) dumps share one map per transposition; only the random
+    # elements of the block and representation checks map their own
+    calls = []
+    real = operators.ket_map
+
+    def counted(p, basis):
+        calls.append(p)
+        return real(p, basis)
+
+    monkeypatch.setattr(operators, "ket_map", counted)
+    monkeypatch.setattr(solver, "ket_map", counted)
+    run_cli(args, capsys)
+    assert len(calls) == want
+
+
+def test_eigenvalues_rejects_state_ops(capsys):
+    # eigenvalues reads the X(k) chain only, so it offers no --state-ops
+    with pytest.raises(SystemExit) as exc:
+        main(["eigenvalues", "--config", "abcd", "--k", "3", "--state-ops", "(a b)"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --state-ops" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_rational_arithmetic():
+    code = (
+        "import sys, symadapt.cli; "
+        "print(sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_cli_runs_as_module():

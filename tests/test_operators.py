@@ -2,15 +2,8 @@ import random
 
 import pytest
 
-from symadapt.operators import (
-    apply_maps,
-    class_operator,
-    dump_matrix,
-    element_maps,
-    ket_map,
-    matrix_of_elements,
-    state_operator,
-)
+from symadapt.cli import main
+from symadapt.operators import apply_maps, element_maps, ket_map
 from symadapt.perm import (
     compose,
     identity,
@@ -20,7 +13,16 @@ from symadapt.perm import (
 )
 
 from helpers import make_basis, s3_distinct_basis
-from oracles import all_elements, commutes, load_matrix_dump, mat_identity, mat_mul
+from oracles import (
+    all_elements,
+    class_operator,
+    commutes,
+    load_matrix_dump,
+    mat_identity,
+    mat_mul,
+    matrix_of_elements,
+    state_operator,
+)
 
 
 def test_matrix_of_single_swap_on_two_states():
@@ -177,16 +179,17 @@ def test_ket_map_degree_mismatch():
         ket_map(identity(3), make_basis("ab"))
 
 
-def test_dump_matrix_format():
-    basis = make_basis("ab")
-    text = dump_matrix(class_operator(2, basis), "C(2)")
-    assert text == "dim=2 label=C(2)\n0 1\n1 0\n"
+def test_dump_matrix_format(capsys):
+    # `--verbose` writes the C(k) rows straight from the ket maps
+    assert main(["eigenvalues", "--config", "ab", "--k", "2", "--verbose"]) == 0
+    assert capsys.readouterr().err == "dim=2 label=C(2)\n0 1\n1 0\n"
 
 
-def test_matrix_dump_roundtrip():
+def test_matrix_dump_roundtrip(capsys):
     basis = make_basis("aab")
     m = class_operator(3, basis)
-    label, back = load_matrix_dump(dump_matrix(m, "C(3)"))
+    assert main(["eigenvalues", "--config", "aab", "--k", "3", "--verbose"]) == 0
+    label, back = load_matrix_dump(capsys.readouterr().err)
     assert label == "C(3)" and back == m
     with pytest.raises(ValueError):
         load_matrix_dump("0 1\n1 0\n")
