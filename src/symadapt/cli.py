@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass
 
 from .configs import OrbitBasis, StateAlphabet, alphabet_for, orbit, parse_ordering
-from .operators import class_maps, state_maps
+from .operators import class_maps, maps_to_matrix, state_maps
 from .solver import (
     CGTable,
     StateOp,
@@ -103,12 +103,8 @@ def make_basis(spec: RunSpec) -> OrbitBasis:
 def _dump_operator(maps, dim: int, label: str) -> None:
     """Write an operator's matrix to stderr as a "dim=<d> label=<name>"
     header and one row per line: row i counts the maps with sigma[j] = i."""
-    rows = [[0] * dim for _ in range(dim)]
-    for sigma in maps:
-        for j, i in enumerate(sigma):
-            rows[i][j] += 1
     lines = [f"dim={dim} label={label}"]
-    lines.extend(" ".join(map(str, row)) for row in rows)
+    lines.extend(" ".join(map(str, row)) for row in maps_to_matrix(maps, dim))
     sys.stderr.write("\n".join(lines) + "\n")
 
 

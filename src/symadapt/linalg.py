@@ -1,5 +1,5 @@
-"""Exact linear algebra over the integers: kernels, blocks of operators
-on invariant subspaces, and their integer eigenspaces.
+"""Exact linear algebra over the integers: kernels, intersections, blocks
+of operators on invariant subspaces, and their integer eigenspaces.
 
 A Subspace holds its basis as primitive integer rows in reduced row
 echelon form: every row has gcd 1 and a positive pivot entry, and is
@@ -137,6 +137,15 @@ class Subspace:
         self.pivots = pivots
 
     @classmethod
+    def from_rows(cls, ambient: int, rows: Matrix) -> "Subspace":
+        """Span of arbitrary integer rows, canonicalized."""
+        ints = [list(r) for r in rows]
+        for row in ints:
+            if len(row) != ambient:
+                raise ValueError(f"row length {len(row)} != ambient {ambient}")
+        return cls(ambient, *_canonical(ints))
+
+    @classmethod
     def from_kernel(cls, ambient: int, rows: tuple[IntRow, ...]) -> "Subspace":
         """Wrap rows that are already canonical, as kernel() returns them."""
         return cls(ambient, rows, tuple(next(t for t, x in enumerate(r) if x) for r in rows))
@@ -230,10 +239,25 @@ def eigenrows_of_block(
     return kernel(rows, len(rows))
 
 
+def intersect(s1: Subspace, s2: Subspace) -> Subspace:
+    """Exact intersection, computed through orthogonal complements:
+    (S1 ∩ S2) = (S1⊥ + S2⊥)⊥ for the standard bilinear form on Q^n."""
+    if s1.ambient != s2.ambient:
+        raise ValueError(f"ambient mismatch: {s1.ambient} != {s2.ambient}")
+    n = s1.ambient
+    comp1 = kernel(s1.rows, n) if s1.dim else Subspace.full(n).rows
+    comp2 = kernel(s2.rows, n) if s2.dim else Subspace.full(n).rows
+    stacked = tuple(comp1) + tuple(comp2)
+    if not stacked:
+        return Subspace.full(n)
+    return Subspace.from_kernel(n, kernel(stacked, n))
+
+
 __all__ = [
     "NotInvariantError",
     "Subspace",
     "kernel",
     "restrict_apply",
     "eigenrows_of_block",
+    "intersect",
 ]

@@ -3,8 +3,9 @@
 Every operator here is a sum of permutations of the basis kets, so each
 one is held as the list of its terms' index maps: sigma[j] is the index
 of the ket that the term sends |phi_j> to.  The operator's matrix, with
-M[i][j] the number of terms that send |phi_j> to |phi_i>, is never
-built; apply_maps applies the sum to a coefficient vector in
+M[i][j] the number of terms that send |phi_j> to |phi_i>, is built only
+for display (maps_to_matrix, used by the CLI's --verbose dump); the
+solver applies the sum to a coefficient vector with apply_maps in
 O(dim + terms * nonzeros).
 """
 from __future__ import annotations
@@ -89,6 +90,16 @@ def state_maps(pairs: Sequence[Sequence[int]], basis: OrbitBasis) -> list[tuple[
     return [state_map(pair, basis) for pair in normalize_state_pairs(pairs, basis)]
 
 
+def maps_to_matrix(maps: Sequence[tuple[int, ...]], dim: int) -> tuple[tuple[int, ...], ...]:
+    """Dense matrix of a sum of mapped permutations:
+    M[i][j] = number of maps with sigma[j] = i."""
+    rows = [[0] * dim for _ in range(dim)]
+    for sigma in maps:
+        for j, i in enumerate(sigma):
+            rows[i][j] += 1
+    return tuple(tuple(r) for r in rows)
+
+
 def apply_maps(maps: Sequence[tuple[int, ...]], vec: Sequence) -> list:
     """Apply the sum of the mapped permutation matrices to a column vector.
 
@@ -110,5 +121,6 @@ __all__ = [
     "normalize_state_pairs",
     "state_map",
     "state_maps",
+    "maps_to_matrix",
     "apply_maps",
 ]

@@ -10,9 +10,9 @@ dense C(k) eigenspaces instead of the Jucys-Murphy chain's leaves.
 The dense representation lives here too.  The package holds every
 operator as ket maps and every subspace as integer rows; the tests check
 it against dense integer matrices of class sums and state operators,
-their eigenspaces for every content-sum candidate, restriction to an
-invariant subspace and subspace intersection, with rational input and
-output at the edge (row_to_int, from_rows, coords).
+their eigenspaces for every content-sum candidate and restriction to
+an invariant subspace, with rational input and output at the edge
+(row_to_int, from_rows, coords).
 
 The other helpers (dense matrix products, matrix-dump parsing, a
 Fraction RREF view of the package's elimination, cycle-notation parsing
@@ -24,8 +24,8 @@ import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
-from symadapt.linalg import Subspace, _canonical, _jordan, kernel, restrict_apply
-from symadapt.operators import element_maps, ket_map, state_maps
+from symadapt.linalg import Subspace, _jordan, kernel, restrict_apply
+from symadapt.operators import element_maps, ket_map, maps_to_matrix, state_maps
 from symadapt.perm import Permutation, subgroup_transpositions, transposition
 from symadapt.solver import Check, VerifyReport
 from symadapt.young import content_sum, partitions
@@ -40,11 +40,7 @@ def row_to_int(row) -> list[int]:
 
 def from_rows(ambient: int, rows) -> Subspace:
     """The Subspace spanned by arbitrary integer or rational rows."""
-    ints = [row_to_int(r) for r in rows]
-    for row in ints:
-        if len(row) != ambient:
-            raise ValueError(f"row length {len(row)} != ambient {ambient}")
-    return Subspace(ambient, *_canonical(ints))
+    return Subspace.from_rows(ambient, [row_to_int(r) for r in rows])
 
 
 def coords(space: Subspace, vec) -> tuple[Fraction, ...] | None:
@@ -62,15 +58,6 @@ def coords(space: Subspace, vec) -> tuple[Fraction, ...] | None:
 
 def contains(space: Subspace, vec) -> bool:
     return coords(space, vec) is not None
-
-
-def maps_to_matrix(maps, dim: int):
-    """M[i][j] = number of maps with sigma[j] = i."""
-    rows = [[0] * dim for _ in range(dim)]
-    for sigma in maps:
-        for j in range(dim):
-            rows[sigma[j]][j] += 1
-    return tuple(tuple(r) for r in rows)
 
 
 def matrix_of_elements(perms, basis):
@@ -130,20 +117,6 @@ def restrict(matrix, space: Subspace) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(
         tuple(Fraction(a, lead) for a in row) for row, lead in zip(block, space.leads)
     )
-
-
-def intersect(s1: Subspace, s2: Subspace) -> Subspace:
-    """Exact intersection through orthogonal complements:
-    (S1 ∩ S2) = (S1⊥ + S2⊥)⊥ for the standard bilinear form on Q^n."""
-    if s1.ambient != s2.ambient:
-        raise ValueError(f"ambient mismatch: {s1.ambient} != {s2.ambient}")
-    n = s1.ambient
-    comp1 = kernel(s1.rows, n) if s1.dim else Subspace.full(n).rows
-    comp2 = kernel(s2.rows, n) if s2.dim else Subspace.full(n).rows
-    stacked = tuple(comp1) + tuple(comp2)
-    if not stacked:
-        return Subspace.full(n)
-    return Subspace.from_kernel(n, kernel(stacked, n))
 
 
 def all_elements(n: int) -> list[Permutation]:

@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from symadapt.linalg import NotInvariantError, Subspace, kernel
+from symadapt.linalg import NotInvariantError, Subspace, intersect, kernel
 from symadapt.young import content_sum, partitions
 
 from helpers import make_basis
@@ -15,7 +15,6 @@ from oracles import (
     coords,
     eigenspace,
     from_rows,
-    intersect,
     mat_identity,
     restrict,
     row_to_int,
@@ -297,3 +296,9 @@ def test_restrict_then_decompose_commutes_with_decompose_then_intersect():
                 lifted = from_rows(len(basis), via_restrict)
                 direct = intersect(outer, eigenspace(c_2, m))
                 assert lifted == direct
+
+
+def test_from_rows_rejects_rows_of_the_wrong_length():
+    with pytest.raises(ValueError):
+        Subspace.from_rows(3, [(1, 0)])
+    assert Subspace.from_rows(3, [(2, 0, 4), (0, 0, 0)]).rows == ((1, 0, 2),)

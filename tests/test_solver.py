@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from symadapt import solver
-from symadapt.linalg import Subspace, kernel
+from symadapt.linalg import Subspace, intersect, kernel
 from symadapt.operators import apply_maps, element_maps, state_maps
 from symadapt.perm import random_permutation, subgroup_transpositions
 from symadapt.solver import (
@@ -23,7 +23,6 @@ from symadapt.young import partitions
 from helpers import make_basis, s3_distinct_basis
 from oracles import (
     from_rows,
-    intersect,
     kostka,
     partitions_of,
     spectrum_reference,
