@@ -17,7 +17,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .configs import OrbitBasis, StateAlphabet, alphabet_for, orbit, parse_ordering
 from .operators import class_maps, maps_to_matrix, state_maps
@@ -26,24 +25,10 @@ from .solver import (
     StateOp,
     VerifyReport,
     _module_invariant_checks,
-    _state_op_text,
     resolve,
     spectrum,
     verify_table,
 )
-
-
-@dataclass(frozen=True)
-class RunSpec:
-    """Everything one invocation needs: parsed configuration, alphabet,
-    optional orbit ordering, state operators, and output options."""
-
-    alphabet: StateAlphabet
-    word: tuple[int, ...]
-    ordering: tuple[tuple[int, ...], ...] | None
-    state_ops: tuple[StateOp, ...] | None
-    fmt: str
-    verbose: bool
 
 
 def parse_state_ops(text: str, alphabet: StateAlphabet) -> list[list[tuple[int, int]]]:
@@ -70,7 +55,12 @@ def parse_state_ops(text: str, alphabet: StateAlphabet) -> list[list[tuple[int, 
     return ops
 
 
-def build_runspec(args: argparse.Namespace) -> RunSpec:
+def read_inputs(args: argparse.Namespace) -> tuple[OrbitBasis, list[list[tuple[int, int]]] | None]:
+    """The orbit basis and the parsed state operators of one invocation.
+
+    Inputs are checked in a fixed order, so a run with several bad inputs
+    always names the same one: alphabet, word, --order file, --state-ops,
+    then the orbit."""
     alphabet = (
         StateAlphabet.from_text(args.alphabet) if args.alphabet else alphabet_for(args.config)
     )
@@ -78,26 +68,15 @@ def build_runspec(args: argparse.Namespace) -> RunSpec:
     ordering = None
     if args.order:
         with open(args.order, encoding="utf-8") as handle:
-            ordering = tuple(parse_ordering(handle, alphabet))
+            ordering = parse_ordering(handle, alphabet)
     state_ops = None
     # eigenvalues has no --state-ops
     if getattr(args, "state_ops", None) is not None:
-        state_ops = tuple(tuple(op) for op in parse_state_ops(args.state_ops, alphabet))
-    return RunSpec(
-        alphabet=alphabet,
-        word=word,
-        ordering=ordering,
-        state_ops=state_ops,
-        fmt=args.format,
-        verbose=args.verbose,
-    )
-
-
-def make_basis(spec: RunSpec) -> OrbitBasis:
-    basis = orbit(spec.word, spec.alphabet)
-    if spec.ordering is not None:
-        basis = basis.with_ordering(spec.ordering)
-    return basis
+        state_ops = parse_state_ops(args.state_ops, alphabet)
+    basis = orbit(word, alphabet)
+    if ordering is not None:
+        basis = basis.with_ordering(ordering)
+    return basis, state_ops
 
 
 def _dump_operator(maps, dim: int, label: str) -> None:
@@ -116,6 +95,20 @@ def _dump_operators(basis: OrbitBasis, state_ops) -> None:
 
 
 # ----------------------------- rendering -----------------------------
+
+def _header(basis: OrbitBasis) -> dict:
+    """The group and configuration that open every output."""
+    return {
+        "group": f"S{basis.degree}",
+        "configuration": basis.alphabet.text_from_word(basis.seed),
+    }
+
+
+def _state_op_text(op: StateOp, alphabet: StateAlphabet) -> str:
+    """A state operator as written on the command line: "(a b)+(c d)"."""
+    labels = alphabet.labels
+    return "+".join(f"({labels[s]} {labels[t]})" for s, t in op)
+
 
 def coeff_text(c: int, norm_sq: int) -> str:
     """An exact radical coefficient, "c/√N"."""
@@ -145,11 +138,8 @@ def _labels_text(values) -> str:
 def render_text_table(table: CGTable) -> str:
     basis = table.basis
     alpha = basis.alphabet
-    lines = [
-        f"group: S{basis.degree}",
-        f"configuration: {alpha.text_from_word(basis.seed)}",
-        "orbit: " + " ".join(basis.texts()),
-    ]
+    lines = [f"{key}: {value}" for key, value in _header(basis).items()]
+    lines.append("orbit: " + " ".join(basis.texts()))
     ops = ", ".join(_state_op_text(op, alpha) for op in table.state_ops)
     lines.append(f"state operators: {ops if ops else '(none)'}")
     if table.skipped_state_ops:
@@ -182,8 +172,7 @@ def table_to_dict(table: CGTable) -> dict:
             entry["tag"] = v.tag
         vectors.append(entry)
     return {
-        "group": f"S{basis.degree}",
-        "configuration": basis.alphabet.text_from_word(basis.seed),
+        **_header(basis),
         "ordering": basis.texts(),
         "vectors": vectors,
         "complete": table.complete,
@@ -209,80 +198,67 @@ def render_csv_table(table: CGTable) -> str:
     return out.getvalue()
 
 
+def _write(fmt: str, obj: dict, header: list[str], rows, text: str) -> None:
+    """Write one result to stdout in the requested format: ``obj`` as
+    JSON, ``header`` and ``rows`` as CSV, or ``text`` as it is."""
+    if fmt == "json":
+        text = canonical_json(obj)
+    elif fmt == "csv":
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        text = out.getvalue()
+    sys.stdout.write(text)
+
+
 # ----------------------------- commands -----------------------------
 
-def cmd_basis(spec: RunSpec) -> int:
-    basis = make_basis(spec)
-    if spec.verbose:
-        _dump_operators(basis, spec.state_ops)
-    table = resolve(basis, spec.state_ops)
-    if spec.fmt == "json":
+def cmd_basis(args: argparse.Namespace, table: CGTable) -> int:
+    if args.format == "json":
         sys.stdout.write(canonical_json(table_to_dict(table)))
-    elif spec.fmt == "csv":
+    elif args.format == "csv":
         sys.stdout.write(render_csv_table(table))
     else:
         sys.stdout.write(render_text_table(table))
     return 0 if table.complete else 2
 
 
-def cmd_eigenvalues(spec: RunSpec, k: int) -> int:
-    basis = make_basis(spec)
+def cmd_eigenvalues(args: argparse.Namespace, basis: OrbitBasis) -> int:
+    k = args.k
     if not 2 <= k <= basis.degree:
         raise ValueError(f"--k must lie in 2..{basis.degree}, got {k}")
-    if spec.verbose:
+    if args.verbose:
         _dump_operator(class_maps(k, basis), len(basis), f"C({k})")
     pairs = spectrum(basis, k)
-    if spec.fmt == "json":
-        obj = {
-            "group": f"S{basis.degree}",
-            "configuration": spec.alphabet.text_from_word(basis.seed),
-            "k": k,
-            "eigenvalues": [[nu, mult] for nu, mult in pairs],
-        }
-        sys.stdout.write(canonical_json(obj))
-    elif spec.fmt == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["eigenvalue", "multiplicity"])
-        writer.writerows(pairs)
-        sys.stdout.write(out.getvalue())
-    else:
-        sys.stdout.write(", ".join(f"{nu}:{mult}" for nu, mult in pairs) + "\n")
+    _write(
+        args.format,
+        {**_header(basis), "k": k, "eigenvalues": [[nu, mult] for nu, mult in pairs]},
+        ["eigenvalue", "multiplicity"],
+        pairs,
+        ", ".join(f"{nu}:{mult}" for nu, mult in pairs) + "\n",
+    )
     return 0
 
 
-def cmd_verify(spec: RunSpec) -> int:
-    basis = make_basis(spec)
-    if spec.verbose:
-        _dump_operators(basis, spec.state_ops)
-    table = resolve(basis, spec.state_ops)
+def cmd_verify(args: argparse.Namespace, table: CGTable) -> int:
     report = VerifyReport(verify_table(table).checks + tuple(_module_invariant_checks(table)))
     checks = report.checks
-    if spec.fmt == "json":
-        obj = {
-            "group": f"S{basis.degree}",
-            "configuration": spec.alphabet.text_from_word(basis.seed),
-            "checks": [
-                {"name": c.name, "status": c.status, "detail": c.detail} for c in checks
-            ],
+    warned = sum(1 for c in checks if c.status == "WARN")
+    verdict = "PASS" if report.passed else "FAIL"
+    _write(
+        args.format,
+        {
+            **_header(table.basis),
+            "checks": [{"name": c.name, "status": c.status, "detail": c.detail} for c in checks],
             "passed": report.passed,
             "complete": table.complete,
-        }
-        sys.stdout.write(canonical_json(obj))
-    elif spec.fmt == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["check", "status", "detail"])
-        writer.writerows([c.name, c.status, c.detail] for c in checks)
-        sys.stdout.write(out.getvalue())
-    else:
-        warned = sum(1 for c in checks if c.status == "WARN")
-        verdict = "PASS" if report.passed else "FAIL"
-        for line in report.lines():
-            sys.stdout.write(line + "\n")
-        sys.stdout.write(
-            f"verification: {verdict} ({len(checks)} checks, {warned} warnings)\n"
-        )
+        },
+        ["check", "status", "detail"],
+        ([c.name, c.status, c.detail] for c in checks),
+        "".join(line + "\n" for line in report.lines())
+        + f"verification: {verdict} ({len(checks)} checks, {warned} warnings)\n",
+    )
     if not report.passed:
         return 1
     return 0 if table.complete else 2
@@ -340,12 +316,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        spec = build_runspec(args)
-        if args.command == "basis":
-            return cmd_basis(spec)
+        basis, state_ops = read_inputs(args)
         if args.command == "eigenvalues":
-            return cmd_eigenvalues(spec, args.k)
-        return cmd_verify(spec)
+            return cmd_eigenvalues(args, basis)
+        if args.verbose:
+            _dump_operators(basis, state_ops)
+        table = resolve(basis, state_ops)
+        if args.command == "basis":
+            return cmd_basis(args, table)
+        return cmd_verify(args, table)
     except BrokenPipeError:
         # downstream consumer (e.g. `head`) closed the pipe; leave quietly
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

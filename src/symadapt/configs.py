@@ -89,12 +89,6 @@ class StateAlphabet:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.labels)
-
-    def __contains__(self, label: object) -> bool:
-        return label in self._index
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, StateAlphabet) and self.labels == other.labels
 
@@ -144,18 +138,19 @@ def act_state(s: Permutation, word: Sequence[int]) -> Word:
 class OrbitBasis:
     """The ordered, deduplicated particle-action orbit of a configuration.
 
-    ``_jm_maps`` holds the Jucys-Murphy ket maps that operators.jm_maps
-    builds on this basis, so they are built once and die with it.
+    ``_maps`` holds the ket map of every permutation that
+    operators.element_maps maps on this basis, so each is built once and
+    dies with it.
     """
 
-    __slots__ = ("alphabet", "seed", "configs", "_index", "_jm_maps")
+    __slots__ = ("alphabet", "seed", "configs", "_index", "_maps")
 
     def __init__(self, alphabet: StateAlphabet, seed: Word, configs: Sequence[Word]):
         self.alphabet = alphabet
         self.seed = tuple(seed)
         self.configs = tuple(tuple(w) for w in configs)
         self._index = {w: i for i, w in enumerate(self.configs)}
-        self._jm_maps: dict[int, tuple[tuple[int, ...], ...]] = {}
+        self._maps: dict[Permutation, tuple[int, ...]] = {}
         if len(self._index) != len(self.configs):
             raise ValueError("orbit basis contains duplicate configurations")
 
@@ -168,9 +163,6 @@ class OrbitBasis:
 
     def __iter__(self) -> Iterator[Word]:
         return iter(self.configs)
-
-    def __getitem__(self, i: int) -> Word:
-        return self.configs[i]
 
     def index_of(self, word: Sequence[int]) -> int:
         try:

@@ -26,21 +26,22 @@ def ket_map(p: Permutation, basis: OrbitBasis) -> tuple[int, ...]:
 
 
 def element_maps(perms: Sequence[Permutation], basis: OrbitBasis) -> list[tuple[int, ...]]:
-    return [ket_map(p, basis) for p in perms]
+    """Ket maps of permutations.  The maps are kept on the basis, so each
+    permutation is mapped once per basis."""
+    memo = basis._maps
+    out = []
+    for p in perms:
+        sigma = memo.get(p)
+        if sigma is None:
+            sigma = memo[p] = ket_map(p, basis)
+        out.append(sigma)
+    return out
 
 
-def jm_maps(j: int, basis: OrbitBasis) -> tuple[tuple[int, ...], ...]:
+def jm_maps(j: int, basis: OrbitBasis) -> list[tuple[int, ...]]:
     """Ket maps of the terms (1 j), ..., (j-1 j) of the Jucys-Murphy
-    element X(j).
-
-    Each transposition (i j), i < j, is a term of X(j) alone; the maps are
-    kept on the basis, so every transposition is mapped once per basis.
-    """
-    maps = basis._jm_maps.get(j)
-    if maps is None:
-        perms = [transposition(i, j, basis.degree) for i in range(1, j)]
-        maps = basis._jm_maps[j] = tuple(element_maps(perms, basis))
-    return maps
+    element X(j)."""
+    return element_maps([transposition(i, j, basis.degree) for i in range(1, j)], basis)
 
 
 def class_maps(k: int, basis: OrbitBasis) -> list[tuple[int, ...]]:

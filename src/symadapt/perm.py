@@ -44,17 +44,11 @@ class Permutation:
             raise ValueError(f"point {point} out of range 1..{len(self.images)}")
         return self.images[point - 1]
 
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        return compose(self, other)
-
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)
         for i, img in enumerate(self.images):
             inv[img - 1] = i + 1
         return Permutation(inv)
-
-    def is_identity(self) -> bool:
-        return all(img == i + 1 for i, img in enumerate(self.images))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its least point, sorted by it.

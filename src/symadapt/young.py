@@ -74,16 +74,6 @@ class StandardTableau:
     def shape(self) -> tuple[int, ...]:
         return tuple(len(r) for r in self.rows)
 
-    @property
-    def size(self) -> int:
-        return sum(len(r) for r in self.rows)
-
-    def content_of(self, entry: int) -> int:
-        for r, row in enumerate(self.rows):
-            if entry in row:
-                return row.index(entry) - r
-        raise ValueError(f"entry {entry} not in tableau")
-
     def bracket_lines(self) -> list[str]:
         """Rows rendered one per line: ["[1 2]", "[3]"]."""
         return ["[" + " ".join(str(x) for x in row) + "]" for row in self.rows]

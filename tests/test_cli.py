@@ -115,6 +115,37 @@ def test_basis_json_matches_pinned_digest(args, want_code, digest, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+# SHA-256 of the eigenvalues and verify stdout in the other two formats,
+# pinned before both commands shared one writer
+PINNED_TEXT_CSV = [
+    pytest.param(["eigenvalues", "--config", "aabbcd", "--k", "6", "--format", "text"], 0,
+                 "a7a1f9933102486d635adcf41945fc78eb2bb3cdeb49532cb522fbbb209ed09d",
+                 id="eigenvalues-aabbcd-6-text"),
+    pytest.param(["eigenvalues", "--config", "aabbcd", "--k", "6", "--format", "csv"], 0,
+                 "2600b04a8dc5dc10223c1ae06475d0e13191bc46d3328d22bf7aa47603fd926b",
+                 id="eigenvalues-aabbcd-6-csv"),
+    pytest.param(["verify", "--config", "abcd", "--format", "text"], 0,
+                 "4e8fb6ebb463fdc5eaeb7c4d53e1832b92de1a4b416d86ea56c4b9dd99292d58",
+                 id="verify-abcd-text"),
+    pytest.param(["verify", "--config", "abcd", "--format", "csv"], 0,
+                 "70d68a8bbff4aceaaae7bbfef541d2b46d526eb9319366e11c00467ce980b4a9",
+                 id="verify-abcd-csv"),
+    pytest.param(["verify", "--config", "aabbcc", "--state-ops", "(a b)", "--format", "text"], 2,
+                 "5a7a1152a19c1b2522f2178ed0c01fc4173cddf0b8ef054a4c96650c86f0106c",
+                 id="verify-aabbcc-state-op-text"),
+    pytest.param(["verify", "--config", "aabbcc", "--state-ops", "(a b)", "--format", "csv"], 2,
+                 "23d3638a67f7046db56fbff73c79b5413d048cd9f20886799fca204e355c17a0",
+                 id="verify-aabbcc-state-op-csv"),
+]
+
+
+@pytest.mark.parametrize("args,want_code,digest", PINNED_TEXT_CSV)
+def test_text_and_csv_match_pinned_digest(args, want_code, digest, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == want_code
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_basis_text_with_skipped_state_operator(capsys):
     code, out, err = run_cli(["basis", "--config", "abcd", *SKIPPED_OP], capsys)
     assert code == 2
@@ -322,14 +353,15 @@ def test_verbose_stderr_matches_pinned_digest(args, want_code, digest, capsys):
 
 
 @pytest.mark.parametrize("args,want", [
-    pytest.param(["verify", "--config", "aabbcd", "--format", "json"], 40, id="verify-aabbcd"),
-    pytest.param(["verify", "--config", "abcde", "--format", "json"], 35, id="verify-abcde"),
+    pytest.param(["verify", "--config", "aabbcd", "--format", "json"], 30, id="verify-aabbcd"),
+    pytest.param(["verify", "--config", "abcde", "--format", "json"], 25, id="verify-abcde"),
     pytest.param(["basis", "--config", "aab", "--verbose"], 3, id="basis-aab-verbose"),
 ])
 def test_each_transposition_is_mapped_once_per_basis(args, want, monkeypatch, capsys):
-    # the chain, verify_table's X(j), the state-particle commutation check
-    # and the C(k) dumps share one map per transposition; only the random
-    # elements of the block and representation checks map their own
+    # the chain, verify_table's X(j), the block and state-particle
+    # commutation checks on the adjacent transpositions and the C(k) dumps
+    # share one map per transposition; only the 5 random pairs of the
+    # representation check map their own 15 elements
     calls = []
     real = operators.ket_map
 
@@ -341,6 +373,23 @@ def test_each_transposition_is_mapped_once_per_basis(args, want, monkeypatch, ca
     monkeypatch.setattr(solver, "ket_map", counted)
     run_cli(args, capsys)
     assert len(calls) == want
+
+
+@pytest.mark.parametrize("config", ["ab", "aabbcd", "abcde"])
+def test_verify_checks_block_structure_on_the_generators(config, monkeypatch, capsys):
+    # (1 2), ..., (n-1 n) generate S_n, so a block that holds for them
+    # holds for every element
+    seen = []
+    real = solver.block_structure_check
+
+    def recorded(table, elements):
+        seen.append([str(g) for g in elements])
+        return real(table, elements)
+
+    monkeypatch.setattr(solver, "block_structure_check", recorded)
+    run_cli(["verify", "--config", config], capsys)
+    n = len(config)
+    assert seen == [[f"({i} {i + 1})" for i in range(1, n)]]
 
 
 def test_eigenvalues_rejects_state_ops(capsys):

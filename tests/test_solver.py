@@ -105,6 +105,15 @@ def test_state_labels_attach_to_nondegenerate_leaves_too():
     assert got[((-1,), (-1,))] == ((1, -1), 2)
 
 
+def test_orbit_escaping_state_op_is_refused_before_the_chain(monkeypatch):
+    def chain(basis, k):
+        raise AssertionError("the chain ran before the state operators were checked")
+
+    monkeypatch.setattr(solver, "_chain", chain)
+    with pytest.raises(ValueError, match="does not preserve the orbit"):
+        resolve(make_basis("aab"), [[(0, 1)]])
+
+
 def test_default_state_ops_policy():
     assert default_state_ops(make_basis("abc")) == [((0, 1),), ((0, 2),), ((1, 2),)]
     assert default_state_ops(make_basis("aabc")) == [((1, 2),)]

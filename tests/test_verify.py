@@ -10,7 +10,7 @@ from operator import mul
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symadapt.perm import random_permutation
+from symadapt.perm import random_permutation, transposition
 from symadapt.solver import (
     Check,
     _pack_columns,
@@ -24,9 +24,17 @@ from helpers import make_basis
 from oracles import block_structure_reference, partitions_of, verify_table_reference
 
 UNLABELED = "WARN completeness: 28 of 60 vectors left unlabeled (flagged residue)"
-OUTSIDE = Check(
-    "block_structure", "FAIL", "(1 5) maps vector 3 outside its (shape, state-label) block"
-)
+
+
+def _outside(g: str, i: int) -> Check:
+    return Check(
+        "block_structure", "FAIL", f"{g} maps vector {i} outside its (shape, state-label) block"
+    )
+
+
+OUTSIDE = _outside("(1 5)", 3)
+# (1 2), ..., (5 6): the elements `symadapt verify` checks on S_6
+GENERATORS = [transposition(i, i + 1, 6) for i in range(1, 6)]
 
 
 @lru_cache(maxsize=None)
@@ -35,7 +43,7 @@ def _table(config: str):
 
 
 def _elements(n: int, seed: int = 1729, count: int = 10):
-    """The pseudorandom group elements `symadapt verify` checks by default."""
+    """Seeded pseudorandom elements of S_n."""
     rng = random.Random(seed)
     return [random_permutation(n, rng) for _ in range(count)]
 
@@ -77,6 +85,7 @@ def test_cross_block_mix_fails_orthogonality_and_block_structure():
         UNLABELED,
     ]
     assert block_structure_check(broken, _elements(6)) == OUTSIDE
+    assert block_structure_check(broken, GENERATORS) == _outside("(1 2)", 3)
 
 
 def test_understated_norm_fails_unit_norm_only():
@@ -92,6 +101,7 @@ def test_understated_norm_fails_unit_norm_only():
     ]
     # vector 7 shares vector 3's block, whose Parseval sum divides by n_7
     assert block_structure_check(broken, _elements(6)) == OUTSIDE
+    assert block_structure_check(broken, GENERATORS) == _outside("(1 2)", 7)
 
 
 def test_swapped_labels_fail_the_eigen_equations():
@@ -105,6 +115,7 @@ def test_swapped_labels_fail_the_eigen_equations():
         UNLABELED,
     ]
     assert block_structure_check(broken, _elements(6)) == OUTSIDE
+    assert block_structure_check(broken, GENERATORS) == _outside("(2 3)", 8)
 
 
 def test_pack_unpack_round_trip_at_the_digit_bounds():

@@ -70,10 +70,11 @@ def test_tableau_from_chain_inverts_content_reading():
         for shape in partitions(n):
             for rows in standard_tableaux(shape):
                 tab = StandardTableau(rows)
+                content = {x: c - r for r, row in enumerate(rows) for c, x in enumerate(row)}
                 partial = 0
                 chain = []
                 for entry in range(2, n + 1):
-                    partial += tab.content_of(entry)
+                    partial += content[entry]
                     chain.append(partial)
                 assert tableau_from_chain(tuple(reversed(chain))) == tab
 
