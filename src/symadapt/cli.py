@@ -23,8 +23,6 @@ from .operators import class_maps, maps_to_matrix, state_maps
 from .solver import (
     CGTable,
     StateOp,
-    VerifyReport,
-    _module_invariant_checks,
     resolve,
     spectrum,
     verify_table,
@@ -242,7 +240,7 @@ def cmd_eigenvalues(args: argparse.Namespace, basis: OrbitBasis) -> int:
 
 
 def cmd_verify(args: argparse.Namespace, table: CGTable) -> int:
-    report = VerifyReport(verify_table(table).checks + tuple(_module_invariant_checks(table)))
+    report = verify_table(table)
     checks = report.checks
     warned = sum(1 for c in checks if c.status == "WARN")
     verdict = "PASS" if report.passed else "FAIL"

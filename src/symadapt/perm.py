@@ -151,13 +151,6 @@ def cycle_string(p: Permutation) -> str:
     return "".join("(" + " ".join(str(x) for x in c) + ")" for c in cycs)
 
 
-def random_permutation(n: int, rng) -> Permutation:
-    """A pseudorandom element of S_n drawn from the given ``random.Random``."""
-    points = list(range(1, n + 1))
-    rng.shuffle(points)
-    return Permutation(points)
-
-
 __all__ = [
     "Permutation",
     "identity",
@@ -165,5 +158,4 @@ __all__ = [
     "compose",
     "subgroup_transpositions",
     "cycle_string",
-    "random_permutation",
 ]

@@ -18,7 +18,6 @@ leaf's chain label nu_k is the sum of its first k box contents.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from itertools import accumulate
 from math import gcd, lcm
@@ -37,16 +36,13 @@ from .operators import (
     apply_maps,
     element_maps,
     jm_maps,
-    ket_map,
     normalize_state_pairs,
     state_maps,
 )
-from .perm import Permutation, compose, random_permutation, transposition
+from .perm import Permutation, transposition
 from .young import StandardTableau, addable_corners, tableau_from_chain
 
 StateOp = tuple[tuple[int, int], ...]
-
-_BLOCK_CHECK_SEED = 1729
 
 
 class InternalCheckError(RuntimeError):
@@ -404,60 +400,55 @@ def _width(norms: Sequence[int]) -> int:
     return max(norms, default=0).bit_length() + 2
 
 
+def _verdict(name: str, bad, detail: str) -> Check:
+    """PASS when nothing is bad, else FAIL with the detail."""
+    return Check(name, "FAIL", detail) if bad else Check(name, "PASS")
+
+
 def verify_table(table: CGTable) -> VerifyReport:
-    """Exact self-verification of a resolved table.
+    """Exact self-verification of a resolved table: the whole suite of
+    `symadapt verify`.
 
     Checks unit norms and normalization conventions, pairwise
     orthogonality, every recorded eigen-equation, the telescoped
     chain-difference equations (the Jucys-Murphy consistency
-    (C(j) - C(j-1)) v = (nu_j - nu_{j-1}) v), and completeness.  An
+    (C(j) - C(j-1)) v = (nu_j - nu_{j-1}) v), completeness, block
+    structure on the adjacent transpositions (1 2), ..., (n-1 n), the
+    representation property of the orbit action and, when state operators
+    were applied, their commutation with the same transpositions.  An
     honestly flagged incomplete table yields a warning, not a failure.
 
-    Orthogonality reads whole Gram rows at once: the table is packed once
-    (see _pack_columns) with digit width w = bit_length(max sum c^2) + 2,
-    computed from the coefficients themselves, so that by Cauchy-Schwarz
-    every dot product is a unique balanced base-2**w digit.  Row i,
-    v_i . packed, then equals (sum c_i^2) * 2**(w*i) exactly when v_i is
-    orthogonal to every other vector; only rows that differ are scanned
-    pair by pair.  The Jucys-Murphy images X_j v = sum_{i<j} (i j) v are
-    computed once per vector, and C(k) v is their prefix sum over j <= k,
-    since C(k) = X_2 + ... + X_k.
+    Orthogonality is read off the spectrum.  Every recorded operator is a
+    sum of ket maps; when each map is an involution the operator is a
+    symmetric matrix, so two vectors that satisfy their eigen-equations
+    with different (nu, state_labels) records are orthogonal.  A pair is
+    therefore dotted only if the records are equal or one vector is not
+    fully verified (it fails unit_norm or an eigen-equation, or has a
+    short label record, as remainder leaves do); every pair is dotted if
+    some map is not an involution.  The Jucys-Murphy images
+    X_j v = sum_{i<j} (i j) v are computed once per vector, and C(k) v is
+    their prefix sum over j <= k, since C(k) = X_2 + ... + X_k.
+
+    The adjacent transpositions s_a generate S_n, and their maps define a
+    representation of S_n exactly when they satisfy the Coxeter relations
+    (s_a s_b)^m = 1, with m = 1, 3 or 2 for b = a, a + 1 or farther; a
+    block or a commutation that holds for them then holds for every
+    element.
     """
     basis = table.basis
     n = basis.degree
     d = len(basis)
     vecs = table.vectors
-    checks: list[Check] = []
 
     bad_norm = []
-    squares = []
     for i, v in enumerate(vecs):
         g = 0
         for c in v.coeffs:
             g = gcd(g, c)
         lead = next((c for c in v.coeffs if c), 0)
-        sq = _dot(v.coeffs, v.coeffs)
-        squares.append(sq)
-        if len(v.coeffs) != d or v.norm_sq <= 0 or sq != v.norm_sq or g != 1 or lead <= 0:
+        if (len(v.coeffs) != d or v.norm_sq <= 0 or _dot(v.coeffs, v.coeffs) != v.norm_sq
+                or g != 1 or lead <= 0):
             bad_norm.append(i)
-    checks.append(
-        Check("unit_norm", "PASS" if not bad_norm else "FAIL",
-              "" if not bad_norm else f"vectors {bad_norm} break the normalization contract")
-    )
-
-    w = _width(squares)
-    packed = _pack_columns([v.coeffs for v in vecs], w)
-    bad_pairs = [
-        (i, j)
-        for i, v in enumerate(vecs)
-        if _dot(v.coeffs, packed) != squares[i] << (w * i)
-        for j in range(i + 1, len(vecs))
-        if _dot(v.coeffs, vecs[j].coeffs) != 0
-    ]
-    checks.append(
-        Check("orthogonality", "PASS" if not bad_pairs else "FAIL",
-              "" if not bad_pairs else f"non-orthogonal pairs {bad_pairs[:5]}")
-    )
 
     failures = []
     jm_failures = []
@@ -466,7 +457,10 @@ def verify_table(table: CGTable) -> VerifyReport:
     for i, v in enumerate(vecs):
         coeffs = v.coeffs
         nu = v.chain.nu
-        image = [0] * len(coeffs)
+        if len(coeffs) != d or len(nu) != n - 1 or len(v.chain.state_labels) > len(op_maps):
+            failures.append((i, "malformed record"))
+            continue
+        image = [0] * d
         for j, maps in enumerate(x_maps, start=2):
             x_image = apply_maps(maps, coeffs)
             content = nu[n - j] - (nu[n - j + 1] if j > 2 else 0)
@@ -478,29 +472,70 @@ def verify_table(table: CGTable) -> VerifyReport:
         for idx, lab in enumerate(v.chain.state_labels):
             if apply_maps(op_maps[idx], coeffs) != [lab * c for c in coeffs]:
                 failures.append((i, f"state op {idx}"))
-    checks.append(
-        Check("eigen_equations", "PASS" if not failures else "FAIL",
-              "" if not failures else f"failed equations {failures[:5]}")
+
+    # the C(j) equations imply the X(j) ones, so failures names every
+    # vector that fails an eigen-equation
+    loose = set(bad_norm).union(i for i, _ in failures).union(
+        i for i, v in enumerate(vecs) if len(v.chain.state_labels) < len(op_maps)
     )
-    checks.append(
-        Check("jucys_murphy", "PASS" if not jm_failures else "FAIL",
-              "" if not jm_failures else f"failed differences {jm_failures[:5]}")
+    symmetric = all(
+        sigma[s] == t for maps in x_maps + op_maps for sigma in maps for t, s in enumerate(sigma)
     )
+    groups: dict[tuple, list[int]] = {}
+    for i, v in enumerate(vecs):
+        if i not in loose:
+            groups.setdefault((v.chain.nu, v.chain.state_labels), []).append(i)
+    bad_pairs = []
+    for i, v in enumerate(vecs):
+        if symmetric and i not in loose:
+            mates = groups[v.chain.nu, v.chain.state_labels]
+            partners = sorted(j for j in loose.union(mates) if j > i)
+        else:
+            partners = range(i + 1, len(vecs))
+        bad_pairs.extend((i, j) for j in partners if _dot(v.coeffs, vecs[j].coeffs))
 
     flagged = any(v.tag is not None for v in vecs)
     if len(vecs) != d or table.complete == flagged:
-        checks.append(
-            Check("completeness", "FAIL",
-                  f"{len(vecs)} vectors for orbit size {d}; complete flag {table.complete}")
-        )
+        completeness = Check(
+            "completeness", "FAIL",
+            f"{len(vecs)} vectors for orbit size {d}; complete flag {table.complete}")
     elif table.complete:
-        checks.append(Check("completeness", "PASS"))
+        completeness = Check("completeness", "PASS")
     else:
         unlabeled = sum(1 for v in vecs if v.tag is not None)
-        checks.append(
-            Check("completeness", "WARN",
-                  f"{unlabeled} of {len(vecs)} vectors left unlabeled (flagged residue)")
-        )
+        completeness = Check(
+            "completeness", "WARN",
+            f"{unlabeled} of {len(vecs)} vectors left unlabeled (flagged residue)")
+
+    generators = [transposition(a, a + 1, n) for a in range(1, n)]
+    s_maps = element_maps(generators, basis)
+    broken = []
+    for a, sa in enumerate(s_maps):
+        for b in range(a, n - 1):
+            walk = range(d)
+            # m = 1, 3 or 2 for b = a, a + 1 or farther
+            for _ in range({0: 1, 1: 3}.get(b - a, 2)):
+                walk = [sa[s_maps[b][t]] for t in walk]
+            if walk != list(range(d)):
+                broken.append((str(generators[a]), str(generators[b])))
+    checks = [
+        _verdict("unit_norm", bad_norm, f"vectors {bad_norm} break the normalization contract"),
+        _verdict("orthogonality", bad_pairs, f"non-orthogonal pairs {bad_pairs[:5]}"),
+        _verdict("eigen_equations", failures, f"failed equations {failures[:5]}"),
+        _verdict("jucys_murphy", jm_failures, f"failed differences {jm_failures[:5]}"),
+        completeness,
+        block_structure_check(table, generators),
+        _verdict("representation_property", broken,
+                 f"generator maps break (s_a s_b)^m = 1 for {broken}"),
+    ]
+    if table.state_ops:
+        bad_ops = [
+            op for op, maps in zip(table.state_ops, op_maps)
+            if any(tuple(smap[j] for j in gmap) != tuple(gmap[j] for j in smap)
+                   for smap in maps for gmap in s_maps)
+        ]
+        checks.append(_verdict("state_particle_commutation", bad_ops,
+                               f"non-commuting state operators {bad_ops}"))
     return VerifyReport(tuple(checks))
 
 
@@ -518,12 +553,15 @@ def block_structure_check(table: CGTable, elements: Sequence[Permutation]) -> Ch
     transformed vector over the pack gives all of its dot products with
     the block.  The Parseval identity sum_b (g v . v_b)^2 / n_b = n_v is
     checked in integers, multiplied through by L = lcm of the block's
-    norms n_b.
+    norms n_b, so a vector whose norm_sq is not positive fails at once.
     """
     vecs = table.vectors
     d = len(table.basis)
     groups: dict[tuple, list[int]] = {}
     for i, v in enumerate(vecs):
+        if v.norm_sq <= 0:
+            return Check("block_structure", "FAIL",
+                         f"vector {i} has norm_sq {v.norm_sq}, so no Parseval sum holds")
         groups.setdefault((v.tableau.shape, v.chain.state_labels), []).append(i)
     blocks = {}
     for key, mates in groups.items():
@@ -557,48 +595,6 @@ def block_structure_check(table: CGTable, elements: Sequence[Permutation]) -> Ch
                             f"{g} connects vectors {i} and {b} across blocks",
                         )
     return Check("block_structure", "PASS")
-
-
-def _module_invariant_checks(table: CGTable) -> list[Check]:
-    """Deterministic extra checks run by `verify` on top of verify_table:
-    block structure and state-particle commutation on the adjacent
-    transpositions (1 2), ..., (n-1 n), and the representation property
-    on seeded random pairs.
-
-    The adjacent transpositions generate S_n, and the orbit action is a
-    representation (the third check), so a block or a commutation that
-    holds for them holds for every element of S_n."""
-    basis = table.basis
-    n = basis.degree
-    generators = [transposition(i, i + 1, n) for i in range(1, n)]
-    checks = [block_structure_check(table, generators)]
-
-    rng = random.Random(_BLOCK_CHECK_SEED)
-    bad = []
-    for _ in range(5):
-        p = random_permutation(n, rng)
-        q = random_permutation(n, rng)
-        sp, sq, spq = (ket_map(x, basis) for x in (p, q, compose(p, q)))
-        if tuple(sp[j] for j in sq) != spq:
-            bad.append((str(p), str(q)))
-    checks.append(
-        Check("representation_property", "PASS" if not bad else "FAIL",
-              "" if not bad else f"M(p)M(q) != M(pq) for {bad}")
-    )
-
-    if table.state_ops:
-        bad_pairs = []
-        g_maps = element_maps(generators, basis)
-        for op in table.state_ops:
-            for smap in state_maps(op, basis):
-                for gmap in g_maps:
-                    if tuple(smap[j] for j in gmap) != tuple(gmap[j] for j in smap):
-                        bad_pairs.append(op)
-        checks.append(
-            Check("state_particle_commutation", "PASS" if not bad_pairs else "FAIL",
-                  "" if not bad_pairs else f"non-commuting state operators {bad_pairs}")
-        )
-    return checks
 
 
 __all__ = [

@@ -4,8 +4,10 @@ The oracles recompute results by a route the package never takes: full
 n! enumeration instead of generator closure, backtracking tableau fills
 instead of corner growth, spectral projection products instead of kernel
 extraction, semistandard fillings for multiplicities, the all-pairs
-dot-product and Fraction Parseval checks instead of packed Gram rows, and
-dense C(k) eigenspaces instead of the Jucys-Murphy chain's leaves.
+dot-product and Fraction Parseval checks instead of spectral
+orthogonality and packed block sums, maps of composed permutations
+instead of Coxeter relations, and dense C(k) eigenspaces instead of the
+Jucys-Murphy chain's leaves.
 
 The dense representation lives here too.  The package holds every
 operator as ket maps and every subspace as integer rows; the tests check
@@ -24,9 +26,10 @@ import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
+from symadapt.configs import act_particle, act_state
 from symadapt.linalg import Subspace, _jordan, kernel, restrict_apply
 from symadapt.operators import element_maps, ket_map, maps_to_matrix, state_maps
-from symadapt.perm import Permutation, subgroup_transpositions, transposition
+from symadapt.perm import Permutation, compose, subgroup_transpositions, transposition
 from symadapt.solver import Check, VerifyReport
 from symadapt.young import content_sum, partitions
 
@@ -358,8 +361,11 @@ def _apply_maps(maps, vec) -> list:
 
 def verify_table_reference(table) -> VerifyReport:
     """symadapt.solver.verify_table by the direct route: all-pairs dot
-    products for orthogonality, and every C(k) applied term by term
-    instead of as prefix sums of Jucys-Murphy images."""
+    products for orthogonality, every C(k) applied term by term instead
+    of as prefix sums of Jucys-Murphy images, the block check by
+    block_structure_reference, the representation property as
+    M(s_a)M(s_b) = M(s_a s_b) on maps of composed generators, and the
+    state-particle commutation on the configuration words themselves."""
     basis = table.basis
     n = basis.degree
     d = len(basis)
@@ -401,7 +407,15 @@ def verify_table_reference(table) -> VerifyReport:
         k: element_maps(subgroup_transpositions(k, n), basis) for k in range(2, n + 1)
     }
     op_maps = [state_maps(op, basis) for op in table.state_ops]
+
+    def malformed(v) -> bool:
+        return (len(v.coeffs) != d or len(v.chain.nu) != n - 1
+                or len(v.chain.state_labels) > len(table.state_ops))
+
     for i, v in enumerate(vecs):
+        if malformed(v):
+            failures.append((i, "malformed record"))
+            continue
         for k in range(2, n + 1):
             nu_k = v.chain.nu[n - k]
             if _apply_maps(chain_maps[k], v.coeffs) != [nu_k * c for c in v.coeffs]:
@@ -420,6 +434,8 @@ def verify_table_reference(table) -> VerifyReport:
         for j in range(2, n + 1)
     }
     for i, v in enumerate(vecs):
+        if malformed(v):
+            continue
         for j in range(2, n + 1):
             nu_j = v.chain.nu[n - j]
             nu_prev = v.chain.nu[n - j + 1] if j > 2 else 0
@@ -445,6 +461,37 @@ def verify_table_reference(table) -> VerifyReport:
             Check("completeness", "WARN",
                   f"{unlabeled} of {len(vecs)} vectors left unlabeled (flagged residue)")
         )
+
+    generators = [transposition(a, a + 1, n) for a in range(1, n)]
+    checks.append(block_structure_reference(table, generators))
+
+    s_maps = {g: ket_map(g, basis) for g in generators}
+    bad = []
+    for p in generators:
+        for q in generators:
+            if tuple(s_maps[p][j] for j in s_maps[q]) != ket_map(compose(p, q), basis):
+                bad.append((str(p), str(q)))
+    checks.append(
+        Check("representation_property", "PASS" if not bad else "FAIL",
+              "" if not bad else f"M(p)M(q) != M(pq) for {bad}")
+    )
+
+    if table.state_ops:
+        m = len(basis.alphabet)
+        bad_ops = []
+        for op in table.state_ops:
+            for s, t in op:
+                images = list(range(1, m + 1))
+                images[s], images[t] = t + 1, s + 1
+                swap = Permutation(images)
+                if any(act_particle(g, act_state(swap, w)) != act_state(swap, act_particle(g, w))
+                       for g in generators for w in basis.configs):
+                    bad_ops.append(op)
+                    break
+        checks.append(
+            Check("state_particle_commutation", "PASS" if not bad_ops else "FAIL",
+                  "" if not bad_ops else f"non-commuting state operators {bad_ops}")
+        )
     return VerifyReport(tuple(checks))
 
 
@@ -454,6 +501,10 @@ def block_structure_reference(table, elements) -> Check:
     product at a time."""
     vecs = table.vectors
     d = len(table.basis)
+    for i, v in enumerate(vecs):
+        if v.norm_sq <= 0:
+            return Check("block_structure", "FAIL",
+                         f"vector {i} has norm_sq {v.norm_sq}, so no Parseval sum holds")
     groups: dict[tuple, list[int]] = {}
     for i, v in enumerate(vecs):
         groups.setdefault((v.tableau.shape, v.chain.state_labels), []).append(i)

@@ -10,10 +10,9 @@ import sys
 import time
 from collections import Counter
 
-from symadapt.perm import random_permutation
 from symadapt.solver import block_structure_check, normalize, resolve, verify_table
 
-from helpers import make_basis, s3_distinct_basis
+from helpers import make_basis, random_permutation, s3_distinct_basis
 from oracles import (
     candidate_eigenvalues,
     class_operator,

@@ -353,15 +353,14 @@ def test_verbose_stderr_matches_pinned_digest(args, want_code, digest, capsys):
 
 
 @pytest.mark.parametrize("args,want", [
-    pytest.param(["verify", "--config", "aabbcd", "--format", "json"], 30, id="verify-aabbcd"),
-    pytest.param(["verify", "--config", "abcde", "--format", "json"], 25, id="verify-abcde"),
+    pytest.param(["verify", "--config", "aabbcd", "--format", "json"], 15, id="verify-aabbcd"),
+    pytest.param(["verify", "--config", "abcde", "--format", "json"], 10, id="verify-abcde"),
     pytest.param(["basis", "--config", "aab", "--verbose"], 3, id="basis-aab-verbose"),
 ])
 def test_each_transposition_is_mapped_once_per_basis(args, want, monkeypatch, capsys):
-    # the chain, verify_table's X(j), the block and state-particle
+    # the chain, verify_table's X(j), the block, Coxeter and state-particle
     # commutation checks on the adjacent transpositions and the C(k) dumps
-    # share one map per transposition; only the 5 random pairs of the
-    # representation check map their own 15 elements
+    # share one map per transposition
     calls = []
     real = operators.ket_map
 
@@ -370,7 +369,6 @@ def test_each_transposition_is_mapped_once_per_basis(args, want, monkeypatch, ca
         return real(p, basis)
 
     monkeypatch.setattr(operators, "ket_map", counted)
-    monkeypatch.setattr(solver, "ket_map", counted)
     run_cli(args, capsys)
     assert len(calls) == want
 

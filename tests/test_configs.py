@@ -13,9 +13,9 @@ from symadapt.configs import (
     orbit,
     parse_ordering,
 )
-from symadapt.perm import Permutation, compose, identity, random_permutation, transposition
+from symadapt.perm import Permutation, compose, identity, transposition
 
-from helpers import S3_DISTINCT_ORDER, make_basis
+from helpers import S3_DISTINCT_ORDER, make_basis, random_permutation
 from oracles import brute_orbit
 
 ABC = StateAlphabet("abc")

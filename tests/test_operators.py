@@ -7,12 +7,11 @@ from symadapt.operators import apply_maps, element_maps, ket_map
 from symadapt.perm import (
     compose,
     identity,
-    random_permutation,
     subgroup_transpositions,
     transposition,
 )
 
-from helpers import make_basis, s3_distinct_basis
+from helpers import make_basis, random_permutation, s3_distinct_basis
 from oracles import (
     all_elements,
     class_operator,

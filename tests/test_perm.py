@@ -7,11 +7,11 @@ from symadapt.perm import (
     compose,
     cycle_string,
     identity,
-    random_permutation,
     subgroup_transpositions,
     transposition,
 )
 
+from helpers import random_permutation
 from oracles import inverse, parse_cycles
 
 

@@ -6,7 +6,7 @@ import pytest
 from symadapt import solver
 from symadapt.linalg import Subspace, intersect, kernel
 from symadapt.operators import apply_maps, element_maps, state_maps
-from symadapt.perm import random_permutation, subgroup_transpositions
+from symadapt.perm import subgroup_transpositions
 from symadapt.solver import (
     CGTable,
     InternalCheckError,
@@ -20,7 +20,7 @@ from symadapt.solver import (
 )
 from symadapt.young import partitions
 
-from helpers import make_basis, s3_distinct_basis
+from helpers import make_basis, random_permutation, s3_distinct_basis
 from oracles import (
     from_rows,
     kostka,

@@ -1,18 +1,23 @@
-"""Exact checks on faulted tables: the packed Gram rows and packed block
-dot products of verify_table and block_structure_check must report
-exactly what the direct all-pairs and Fraction Parseval checks report."""
+"""Exact checks on faulted tables: verify_table's spectral orthogonality,
+packed block sums and Coxeter relations, and block_structure_check's
+packed block dot products, must report exactly what the direct
+all-pairs dot products, Fraction Parseval sums and maps of composed
+permutations report.  Malformed label records and zero vectors are
+reported as failures, never raised."""
 import random
 from dataclasses import replace
 from functools import lru_cache
 from math import factorial, prod
 from operator import mul
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symadapt.perm import random_permutation, transposition
+from symadapt.perm import transposition
 from symadapt.solver import (
     Check,
+    LabelChain,
     _pack_columns,
     _unpack,
     block_structure_check,
@@ -20,10 +25,11 @@ from symadapt.solver import (
     verify_table,
 )
 
-from helpers import make_basis
+from helpers import make_basis, random_permutation
 from oracles import block_structure_reference, partitions_of, verify_table_reference
 
 UNLABELED = "WARN completeness: 28 of 60 vectors left unlabeled (flagged residue)"
+REPRESENTATION = "PASS representation_property"
 
 
 def _outside(g: str, i: int) -> Check:
@@ -37,9 +43,14 @@ OUTSIDE = _outside("(1 5)", 3)
 GENERATORS = [transposition(i, i + 1, 6) for i in range(1, 6)]
 
 
+# the path sum (a b)+(b c)+(c d) leaves irrational remainder leaves with
+# short label records on abcd
+PATH = (((0, 1), (1, 2), (2, 3)),)
+
+
 @lru_cache(maxsize=None)
-def _table(config: str):
-    return resolve(make_basis(config))
+def _table(config: str, state_ops=None):
+    return resolve(make_basis(config), state_ops)
 
 
 def _elements(n: int, seed: int = 1729, count: int = 10):
@@ -83,6 +94,8 @@ def test_cross_block_mix_fails_orthogonality_and_block_structure():
         "[(3, 'C(2)'), (3, 'C(3)'), (3, 'C(4)'), (3, 'C(5)'), (3, 'C(6)')]",
         "FAIL jucys_murphy: failed differences [(3, 2), (3, 3), (3, 4), (3, 5), (3, 6)]",
         UNLABELED,
+        "FAIL block_structure: (1 2) maps vector 3 outside its (shape, state-label) block",
+        REPRESENTATION,
     ]
     assert block_structure_check(broken, _elements(6)) == OUTSIDE
     assert block_structure_check(broken, GENERATORS) == _outside("(1 2)", 3)
@@ -98,6 +111,8 @@ def test_understated_norm_fails_unit_norm_only():
         "PASS eigen_equations",
         "PASS jucys_murphy",
         UNLABELED,
+        "FAIL block_structure: (1 2) maps vector 7 outside its (shape, state-label) block",
+        REPRESENTATION,
     ]
     # vector 7 shares vector 3's block, whose Parseval sum divides by n_7
     assert block_structure_check(broken, _elements(6)) == OUTSIDE
@@ -113,6 +128,8 @@ def test_swapped_labels_fail_the_eigen_equations():
         "[(0, 'C(2)'), (0, 'C(3)'), (0, 'C(4)'), (0, 'C(5)'), (0, 'C(6)')]",
         "FAIL jucys_murphy: failed differences [(0, 2), (0, 3), (0, 4), (0, 5), (0, 6)]",
         UNLABELED,
+        "FAIL block_structure: (2 3) maps vector 8 outside its (shape, state-label) block",
+        REPRESENTATION,
     ]
     assert block_structure_check(broken, _elements(6)) == OUTSIDE
     assert block_structure_check(broken, GENERATORS) == _outside("(2 3)", 8)
@@ -144,6 +161,17 @@ def _words() -> list[str]:
     return [word for _, word in sorted(sized)]
 
 
+# (word, state operators) pairs: every default-policy word, then tables
+# resolved with user operators: a complete lift, a skipped operator, and
+# the path sum whose remainder leaves keep short label records
+TABLES = [(word, None) for word in _words()] + [
+    ("aabbcc", (((0, 1),), ((0, 1), (0, 2), (1, 2)))),
+    ("abcd", (((0, 1), (2, 3)), ((0, 2),))),
+    ("abcd", PATH),
+    ("abc", (((0, 1),),)),
+]
+
+
 FAULTS = ("none", "swap_labels", "perturb", "mix", "norm", "duplicate")
 
 
@@ -172,15 +200,84 @@ def _fault(table, kind: str, i: int, j: int, delta: int):
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
-    word=st.sampled_from(_words()),
+    source=st.sampled_from(TABLES),
     kind=st.sampled_from(FAULTS),
     i=st.integers(0, 10**6),
     j=st.integers(0, 10**6),
     delta=st.sampled_from((-3, -2, -1, 1, 2, 3)),
     seed=st.integers(0, 2**16),
 )
-def test_packed_checks_equal_the_direct_reference(word, kind, i, j, delta, seed):
-    table = _fault(_table(word), kind, i, j, delta)
+def test_verify_table_equals_the_direct_reference(source, kind, i, j, delta, seed):
+    table = _fault(_table(*source), kind, i, j, delta)
     assert verify_table(table) == verify_table_reference(table)
     elements = _elements(table.basis.degree, seed, count=3)
     assert block_structure_check(table, elements) == block_structure_reference(table, elements)
+
+
+def test_short_record_remainder_mixed_into_its_leaf_fails_orthogonality():
+    # a remainder vector has no eigenvalue for the path operator, so its
+    # different record does not make it orthogonal to its leaf mates: the
+    # sum r + f keeps r's short record and passes every equation it records
+    table = _table("abcd", PATH)
+    vecs = table.vectors
+    mixes = 0
+    for r, rv in enumerate(vecs):
+        if len(rv.chain.state_labels) == len(table.state_ops):
+            continue
+        for f, fv in enumerate(vecs):
+            if fv.chain.nu == rv.chain.nu and len(fv.chain.state_labels) == len(table.state_ops):
+                broken = _mixed(table, r, f)
+                report = verify_table(broken)
+                assert report == verify_table_reference(broken)
+                assert report.checks[0] == Check("unit_norm", "PASS")
+                assert report.checks[1].status == "FAIL"
+                assert f"({min(r, f)}, {max(r, f)})" in report.checks[1].detail
+                mixes += 1
+    assert mixes == 12
+
+
+def test_zero_vector_fails_block_structure_without_raising():
+    table = _table("aa")
+    broken = _with(table, {0: replace(table.vectors[0], coeffs=(0,), norm_sq=0)})
+    zero = Check("block_structure", "FAIL", "vector 0 has norm_sq 0, so no Parseval sum holds")
+    assert block_structure_check(broken, [transposition(1, 2, 2)]) == zero
+    report = verify_table(broken)
+    assert report == verify_table_reference(broken)
+    assert report.lines() == [
+        "FAIL unit_norm: vectors [0] break the normalization contract",
+        "PASS orthogonality",
+        "PASS eigen_equations",
+        "PASS jucys_murphy",
+        "PASS completeness",
+        "FAIL block_structure: vector 0 has norm_sq 0, so no Parseval sum holds",
+        REPRESENTATION,
+    ]
+
+
+@pytest.mark.parametrize("change", [
+    pytest.param(lambda v: replace(v, chain=LabelChain(v.chain.nu, (1,))), id="extra-state-label"),
+    pytest.param(lambda v: replace(v, chain=LabelChain(v.chain.nu[:1], ())), id="short-nu"),
+    pytest.param(lambda v: replace(v, coeffs=v.coeffs[:2]), id="short-coefficients"),
+])
+def test_malformed_record_fails_the_eigen_equations_without_raising(change):
+    # aab has no state operators, so one state label is one too many
+    table = _table("aab")
+    broken = _with(table, {0: change(table.vectors[0])})
+    report = verify_table(broken)
+    assert report == verify_table_reference(broken)
+    assert report.checks[2] == Check(
+        "eigen_equations", "FAIL", "failed equations [(0, 'malformed record')]"
+    )
+
+
+def test_a_generator_map_that_breaks_a_coxeter_relation_fails(monkeypatch):
+    # (1 2) mapped as the identity still squares to 1, but (s_1 s_2)^3 is
+    # then s_2, which moves kets of abc
+    table = resolve(make_basis("abc"))
+    s1 = transposition(1, 2, 3)
+    monkeypatch.setitem(table.basis._maps, s1, tuple(range(len(table.basis))))
+    checks = {c.name: c for c in verify_table(table).checks}
+    assert checks["representation_property"] == Check(
+        "representation_property", "FAIL",
+        "generator maps break (s_a s_b)^m = 1 for [('(1 2)', '(2 3)')]",
+    )
