@@ -6,7 +6,9 @@ echelon form: every row has gcd 1 and a positive pivot entry, and is
 zero in the pivot columns of the other rows.  That form is canonical, so
 subspace equality is plain structural equality.  Elimination runs
 fraction-free over Python integers with per-row gcd reduction; input and
-output are integers throughout.
+output are integers throughout.  Every canonical basis comes out of one
+elimination in kernel() (see there): a span is the kernel of its kernel,
+and an intersection the kernel of the stacked kernels.
 """
 from __future__ import annotations
 
@@ -77,37 +79,28 @@ def _jordan(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     return rows, pivots
 
 
-def _canonical(rows: list[list[int]]) -> tuple[tuple[IntRow, ...], tuple[int, ...]]:
-    """Primitive integer RREF rows of the span of ``rows``, and their pivots."""
-    red, pivots = _jordan(rows)
-    out = []
-    for row, p in zip(red, pivots):
-        g = gcd(*row)
-        if row[p] < 0:
-            g = -g
-        out.append(tuple(row) if g == 1 else tuple([a // g for a in row]))
-    return tuple(out), tuple(pivots)
-
-
 def kernel(matrix: Matrix, ncols: int | None = None) -> tuple[IntRow, ...]:
     """A canonical basis of the right nullspace of the integer ``matrix``:
     primitive integer rows in reduced row echelon form, each with a
     positive pivot.
 
+    One elimination gives that form because it runs with the columns
+    reversed: each pivot row is then nonzero only at its pivot and at free
+    columns to its left, so the solution for free column f is zero before
+    f and at every other free column.  Divided by their gcds, the
+    solutions are the RREF basis, with the free columns as pivots.
+
     ``ncols`` must be given when the matrix has no rows.
     """
-    rows = [list(r) for r in matrix]
+    rows = [list(reversed(r)) for r in matrix]
     if rows:
         ncols = len(rows[0])
     elif ncols is None:
         raise ValueError("ncols required for a matrix with no rows")
     red, pivots = _jordan(rows)
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    if not free:
-        return ()
-    basis: list[list[int]] = []
-    for f in free:
+    basis = []
+    # reversed column f is column ncols - 1 - f: walk the free ones in original order
+    for f in sorted(set(range(ncols)).difference(pivots), reverse=True):
         # x_f = scale and x_p = -row[f] * scale / row[p] solves every pivot row
         hits = [(row, p) for row, p in zip(red, pivots) if row[f]]
         scale = lcm(*(row[p] for row, p in hits))
@@ -115,8 +108,10 @@ def kernel(matrix: Matrix, ncols: int | None = None) -> tuple[IntRow, ...]:
         v[f] = scale
         for row, p in hits:
             v[p] = -row[f] * (scale // row[p])
-        basis.append(v)
-    return _canonical(basis)[0]
+        g = gcd(*v)
+        v.reverse()
+        basis.append(tuple(v) if g == 1 else tuple([a // g for a in v]))
+    return tuple(basis)
 
 
 class Subspace:
@@ -138,12 +133,12 @@ class Subspace:
 
     @classmethod
     def from_rows(cls, ambient: int, rows: Matrix) -> "Subspace":
-        """Span of arbitrary integer rows, canonicalized."""
-        ints = [list(r) for r in rows]
-        for row in ints:
+        """Span of arbitrary integer rows, canonicalized as the kernel of
+        their kernel: a span equals (span⊥)⊥."""
+        for row in rows:
             if len(row) != ambient:
                 raise ValueError(f"row length {len(row)} != ambient {ambient}")
-        return cls(ambient, *_canonical(ints))
+        return cls.from_kernel(ambient, kernel(kernel(rows, ambient), ambient))
 
     @classmethod
     def from_kernel(cls, ambient: int, rows: tuple[IntRow, ...]) -> "Subspace":
@@ -245,12 +240,7 @@ def intersect(s1: Subspace, s2: Subspace) -> Subspace:
     if s1.ambient != s2.ambient:
         raise ValueError(f"ambient mismatch: {s1.ambient} != {s2.ambient}")
     n = s1.ambient
-    comp1 = kernel(s1.rows, n) if s1.dim else Subspace.full(n).rows
-    comp2 = kernel(s2.rows, n) if s2.dim else Subspace.full(n).rows
-    stacked = tuple(comp1) + tuple(comp2)
-    if not stacked:
-        return Subspace.full(n)
-    return Subspace.from_kernel(n, kernel(stacked, n))
+    return Subspace.from_kernel(n, kernel(kernel(s1.rows, n) + kernel(s2.rows, n), n))
 
 
 __all__ = [

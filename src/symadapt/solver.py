@@ -146,7 +146,8 @@ def _lift(coord_rows: Sequence[Sequence[int]], space: Subspace) -> Subspace:
                     acc[t] += c * x
         g = gcd(*acc)
         out.append(tuple(acc) if g == 1 else tuple(a // g for a in acc))
-    return Subspace.from_kernel(space.ambient, tuple(out))
+    pivots = tuple(space.pivots[next(q for q, c in enumerate(crow) if c)] for crow in coord_rows)
+    return Subspace(space.ambient, tuple(out), pivots)
 
 
 def _refine(
@@ -318,13 +319,11 @@ def resolve(basis: OrbitBasis, state_ops: Sequence[Sequence[Sequence[int]]] | No
     for leaf in leaves:
         chain = LabelChain(nu(leaf), leaf.labels[n - 1:])
         tableau = tableau_from_chain(chain.nu)
-        if leaf.space.dim == 1:
-            coeffs, norm_sq = normalize(leaf.space.rows[0])
-            vectors.append(LabeledVector(chain, tableau, None, coeffs, norm_sq))
-        else:
-            for row in _gram_schmidt(leaf.space.rows):
-                coeffs, norm_sq = normalize(row)
-                vectors.append(LabeledVector(chain, tableau, "unlabeled", coeffs, norm_sq))
+        # _gram_schmidt returns a single row as it is
+        tag = None if leaf.space.dim == 1 else "unlabeled"
+        for row in _gram_schmidt(leaf.space.rows):
+            coeffs, norm_sq = normalize(row)
+            vectors.append(LabeledVector(chain, tableau, tag, coeffs, norm_sq))
     complete = all(v.tag is None for v in vectors)
     return CGTable(
         basis=basis,
@@ -416,7 +415,9 @@ def verify_table(table: CGTable) -> VerifyReport:
     structure on the adjacent transpositions (1 2), ..., (n-1 n), the
     representation property of the orbit action and, when state operators
     were applied, their commutation with the same transpositions.  An
-    honestly flagged incomplete table yields a warning, not a failure.
+    honestly flagged incomplete table yields a warning, not a failure.  A
+    recorded state operator that maps the orbit outside itself fails the
+    commutation check and every eigen-equation that uses it.
 
     Orthogonality is read off the spectrum.  Every recorded operator is a
     sum of ket maps; when each map is an involution the operator is a
@@ -442,35 +443,41 @@ def verify_table(table: CGTable) -> VerifyReport:
 
     bad_norm = []
     for i, v in enumerate(vecs):
-        g = 0
-        for c in v.coeffs:
-            g = gcd(g, c)
         lead = next((c for c in v.coeffs if c), 0)
         if (len(v.coeffs) != d or v.norm_sq <= 0 or _dot(v.coeffs, v.coeffs) != v.norm_sq
-                or g != 1 or lead <= 0):
+                or gcd(*v.coeffs) != 1 or lead <= 0):
             bad_norm.append(i)
 
     failures = []
     jm_failures = []
     x_maps = [jm_maps(j, basis) for j in range(2, n + 1)]
-    op_maps = [state_maps(op, basis) for op in table.state_ops]
+    op_maps = []
+    for op in table.state_ops:
+        try:
+            op_maps.append(state_maps(op, basis))
+        except ValueError:  # the operator maps the orbit outside itself
+            op_maps.append(None)
     for i, v in enumerate(vecs):
         coeffs = v.coeffs
         nu = v.chain.nu
         if len(coeffs) != d or len(nu) != n - 1 or len(v.chain.state_labels) > len(op_maps):
             failures.append((i, "malformed record"))
             continue
-        image = [0] * d
+        # (C(j) - nu_j) v = sum of (X(k) - content_k) v over k <= j; None while zero
+        total = None
         for j, maps in enumerate(x_maps, start=2):
-            x_image = apply_maps(maps, coeffs)
             content = nu[n - j] - (nu[n - j + 1] if j > 2 else 0)
-            if x_image != [content * c for c in coeffs]:
+            residual = [a - content * c for a, c in zip(apply_maps(maps, coeffs), coeffs)]
+            if any(residual):
                 jm_failures.append((i, j))
-            image = [a + b for a, b in zip(image, x_image)]
-            if image != [nu[n - j] * c for c in coeffs]:
+                total = residual if total is None else [a + b for a, b in zip(total, residual)]
+                if not any(total):
+                    total = None
+            if total is not None:
                 failures.append((i, f"C({j})"))
         for idx, lab in enumerate(v.chain.state_labels):
-            if apply_maps(op_maps[idx], coeffs) != [lab * c for c in coeffs]:
+            maps = op_maps[idx]
+            if maps is None or apply_maps(maps, coeffs) != [lab * c for c in coeffs]:
                 failures.append((i, f"state op {idx}"))
 
     # the C(j) equations imply the X(j) ones, so failures names every
@@ -479,7 +486,8 @@ def verify_table(table: CGTable) -> VerifyReport:
         i for i, v in enumerate(vecs) if len(v.chain.state_labels) < len(op_maps)
     )
     symmetric = all(
-        sigma[s] == t for maps in x_maps + op_maps for sigma in maps for t, s in enumerate(sigma)
+        sigma[s] == t
+        for maps in x_maps + op_maps for sigma in maps or () for t, s in enumerate(sigma)
     )
     groups: dict[tuple, list[int]] = {}
     for i, v in enumerate(vecs):
@@ -531,8 +539,8 @@ def verify_table(table: CGTable) -> VerifyReport:
     if table.state_ops:
         bad_ops = [
             op for op, maps in zip(table.state_ops, op_maps)
-            if any(tuple(smap[j] for j in gmap) != tuple(gmap[j] for j in smap)
-                   for smap in maps for gmap in s_maps)
+            if maps is None or any(tuple(smap[j] for j in gmap) != tuple(gmap[j] for j in smap)
+                                   for smap in maps for gmap in s_maps)
         ]
         checks.append(_verdict("state_particle_commutation", bad_ops,
                                f"non-commuting state operators {bad_ops}"))

@@ -234,6 +234,16 @@ def test_intersect_examples():
     assert intersect(e30, full) == e30
     comp = from_rows(3, kernel(e30.rows, 3))
     assert intersect(e30, comp).dim == 0
+    # the kernel of no rows is the full space, so neither a full nor a
+    # zero-dimensional operand needs a branch of its own
+    for n in (1, 3, 5):
+        assert kernel((), n) == Subspace.full(n).rows
+        full = Subspace.full(n)
+        zero = Subspace.from_rows(n, [])
+        assert intersect(full, full) == full
+        assert intersect(full, zero) == zero
+        assert intersect(zero, full) == zero
+    assert intersect(e30, Subspace.from_rows(3, [])).dim == 0
 
 
 def test_intersect_rejects_ambient_mismatch():
@@ -302,3 +312,5 @@ def test_from_rows_rejects_rows_of_the_wrong_length():
     with pytest.raises(ValueError):
         Subspace.from_rows(3, [(1, 0)])
     assert Subspace.from_rows(3, [(2, 0, 4), (0, 0, 0)]).rows == ((1, 0, 2),)
+    assert Subspace.from_rows(3, []).dim == 0
+    assert Subspace.from_rows(3, [(0, 0, 0), (0, 0, 0)]).dim == 0

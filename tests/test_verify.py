@@ -2,8 +2,9 @@
 packed block sums and Coxeter relations, and block_structure_check's
 packed block dot products, must report exactly what the direct
 all-pairs dot products, Fraction Parseval sums and maps of composed
-permutations report.  Malformed label records and zero vectors are
-reported as failures, never raised."""
+permutations report.  Malformed label records, zero vectors and
+recorded operators that leave the orbit are reported as failures, never
+raised."""
 import random
 from dataclasses import replace
 from functools import lru_cache
@@ -281,3 +282,28 @@ def test_a_generator_map_that_breaks_a_coxeter_relation_fails(monkeypatch):
         "representation_property", "FAIL",
         "generator maps break (s_a s_b)^m = 1 for [('(1 2)', '(2 3)')]",
     )
+
+
+def test_an_operator_that_leaves_the_orbit_is_reported_not_raised():
+    # (a b) swaps states of multiplicities 2 and 1, so it maps the orbit of
+    # aab outside itself; with the label, vector 0 claims an eigenvalue of it
+    table = replace(_table("aab"), state_ops=(((0, 1),),))
+    v = table.vectors[0]
+    labelled = _with(table, {0: replace(v, chain=LabelChain(v.chain.nu, (1,)))})
+    leaves = "FAIL state_particle_commutation: non-commuting state operators [((0, 1),)]"
+    for broken, equations in [
+        (table, "PASS eigen_equations"),
+        (labelled, "FAIL eigen_equations: failed equations [(0, 'state op 0')]"),
+    ]:
+        report = verify_table(broken)
+        assert not report.passed
+        assert report.lines() == [
+            "PASS unit_norm",
+            "PASS orthogonality",
+            equations,
+            "PASS jucys_murphy",
+            "PASS completeness",
+            "PASS block_structure",
+            REPRESENTATION,
+            leaves,
+        ]
