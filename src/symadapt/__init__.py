@@ -21,14 +21,7 @@ from .configs import (
     parse_ordering,
 )
 from .linalg import NotInvariantError, Subspace, kernel
-from .perm import (
-    Permutation,
-    compose,
-    cycle_string,
-    identity,
-    subgroup_transpositions,
-    transposition,
-)
+from .perm import Permutation, cycle_string, transposition
 from .solver import (
     CGTable,
     InternalCheckError,
@@ -41,7 +34,7 @@ from .solver import (
     resolve,
     verify_table,
 )
-from .young import StandardTableau, content_sum, partitions, tableau_from_chain
+from .young import StandardTableau, tableau_from_chain
 
 __version__ = "0.1.0"
 
@@ -58,10 +51,7 @@ __all__ = [
     "Subspace",
     "kernel",
     "Permutation",
-    "compose",
     "cycle_string",
-    "identity",
-    "subgroup_transpositions",
     "transposition",
     "CGTable",
     "InternalCheckError",
@@ -74,8 +64,6 @@ __all__ = [
     "resolve",
     "verify_table",
     "StandardTableau",
-    "content_sum",
-    "partitions",
     "tableau_from_chain",
     "__version__",
 ]

@@ -111,7 +111,8 @@ def alphabet_for(config_text: str) -> StateAlphabet:
 def act_particle(p: Permutation, word: Sequence[int]) -> Word:
     """Move particle i's state to slot p(i); a left action of S_n on words.
 
-    act_particle(p, act_particle(q, w)) == act_particle(compose(p, q), w).
+    Applying q and then p moves particle i's state to slot p(q(i)), the
+    action of the product with q applied first.
     """
     if p.degree != len(word):
         raise ValueError(f"degree mismatch: permutation {p.degree}, word {len(word)}")

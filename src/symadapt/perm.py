@@ -2,12 +2,11 @@
 
 A permutation is stored in one-line notation as the tuple of images of
 1..n (1-based, to match the usual cycle symbols like ``(1 2)``).  The
-composition convention is fixed once for the whole package:
-
-    (p * q)(x) = p(q(x))        -- the right factor acts first.
-
-Every representation-property check downstream depends on this single
-declaration.
+package never composes permutations: it maps each one to the orbit kets
+once, and checks that the maps of the adjacent transpositions satisfy the
+Coxeter relations of S_n.  The tests compose them with
+``compose(p, q)(x) = p(q(x))`` (the right factor acts first), which lives
+in tests/oracles.py.
 """
 from __future__ import annotations
 
@@ -44,12 +43,6 @@ class Permutation:
             raise ValueError(f"point {point} out of range 1..{len(self.images)}")
         return self.images[point - 1]
 
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for i, img in enumerate(self.images):
-            inv[img - 1] = i + 1
-        return Permutation(inv)
-
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its least point, sorted by it.
 
@@ -84,17 +77,6 @@ class Permutation:
         return f"Permutation({self.images})"
 
 
-def identity(n: int) -> Permutation:
-    """The identity permutation of degree n.
-
-    >>> identity(3).images
-    (1, 2, 3)
-    """
-    if n < 1:
-        raise ValueError("degree must be at least 1")
-    return Permutation(range(1, n + 1))
-
-
 def transposition(i: int, j: int, n: int) -> Permutation:
     """The 2-cycle (i j) inside S_n; i and j may be given in either order.
 
@@ -108,35 +90,6 @@ def transposition(i: int, j: int, n: int) -> Permutation:
     images = list(range(1, n + 1))
     images[i - 1], images[j - 1] = j, i
     return Permutation(images)
-
-
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """The product p∘q with q applied first: (p∘q)(x) = p(q(x)).
-
-    >>> compose(transposition(1, 2, 3), transposition(2, 3, 3)).images
-    (2, 3, 1)
-    """
-    if p.degree != q.degree:
-        raise ValueError(f"degree mismatch: {p.degree} != {q.degree}")
-    pim = p.images
-    return Permutation(pim[x - 1] for x in q.images)
-
-
-def subgroup_transpositions(k: int, n: int) -> list[Permutation]:
-    """All transpositions (i j) with i < j <= k, embedded in S_n.
-
-    These are the terms of the class-sum operator of the subgroup S_k in
-    the chain S_2 < S_3 < ... < S_n; the list has k(k-1)/2 elements.
-    """
-    if k < 2:
-        raise ValueError(f"subgroup degree must be at least 2, got {k}")
-    if k > n:
-        raise ValueError(f"subgroup degree {k} exceeds ambient degree {n}")
-    return [
-        transposition(i, j, n)
-        for i in range(1, k)
-        for j in range(i + 1, k + 1)
-    ]
 
 
 def cycle_string(p: Permutation) -> str:
@@ -153,9 +106,6 @@ def cycle_string(p: Permutation) -> str:
 
 __all__ = [
     "Permutation",
-    "identity",
     "transposition",
-    "compose",
-    "subgroup_transpositions",
     "cycle_string",
 ]

@@ -19,6 +19,7 @@ leaf's chain label nu_k is the sum of its first k box contents.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from math import gcd, lcm
 from operator import mul
@@ -40,7 +41,7 @@ from .operators import (
     state_maps,
 )
 from .perm import Permutation, transposition
-from .young import StandardTableau, addable_corners, tableau_from_chain
+from .young import StandardTableau, addable_corners, rows_from_contents, tableau_from_chain
 
 StateOp = tuple[tuple[int, int], ...]
 
@@ -67,28 +68,43 @@ class LabelChain:
 class LabeledVector:
     """One symmetry-adapted basis vector with exact radical coefficients.
 
-    The actual coefficient on basis ket i is coeffs[i] / sqrt(norm_sq);
+    Stored: the eigenvalue chain, the tag, and the coefficients.  The
+    actual coefficient on basis ket i is coeffs[i] / sqrt(norm_sq);
     coeffs is primitive (gcd 1) with its first nonzero entry positive.
     Vectors from a degeneracy that no operator managed to lift carry
-    tag == "unlabeled".
+    tag == "unlabeled".  Derived: the standard tableau, decoded from
+    chain.nu, so it is always the one the eigen-equations check.
     """
 
     chain: LabelChain
-    tableau: StandardTableau
     tag: str | None
     coeffs: tuple[int, ...]
     norm_sq: int
 
+    @cached_property
+    def tableau(self) -> StandardTableau:
+        """The standard tableau that chain.nu spells out; ValueError when
+        no tableau realizes the chain."""
+        return tableau_from_chain(self.chain.nu)
+
 
 @dataclass(frozen=True)
 class CGTable:
-    """The resolved basis of one orbit: vector count always equals orbit size."""
+    """The resolved basis of one orbit: vector count always equals orbit size.
+
+    Stored: the orbit basis, the vectors, and the state operators that
+    were applied and skipped.  Derived: ``complete``, read off the tags.
+    """
 
     basis: OrbitBasis
     vectors: tuple[LabeledVector, ...]
     state_ops: tuple[StateOp, ...]
     skipped_state_ops: tuple[StateOp, ...]
-    complete: bool
+
+    @property
+    def complete(self) -> bool:
+        """True when no vector is tagged: every vector has its own labels."""
+        return all(v.tag is None for v in self.vectors)
 
 
 def normalize(vec: Sequence[int]) -> tuple[tuple[int, ...], int]:
@@ -198,14 +214,7 @@ def _refine(
 def _corner_contents(leaf: _Leaf) -> list[int]:
     """The X(k) eigenvalues open to a chain leaf: the contents of the
     addable corners of its shape, in descending order."""
-    shape: list[int] = []
-    for c in (0,) + leaf.labels:
-        # rowlen - r strictly decreases with r, so one row takes content c
-        r = next(r for r, rowlen in enumerate(shape + [0]) if rowlen - r == c)
-        if r == len(shape):
-            shape.append(1)
-        else:
-            shape[r] += 1
+    shape = [len(row) for row in rows_from_contents((0,) + leaf.labels)]
     return [c for _, c in addable_corners(shape)]
 
 
@@ -282,7 +291,7 @@ def resolve(basis: OrbitBasis, state_ops: Sequence[Sequence[Sequence[int]]] | No
     Every applied operator labels every leaf, so complete tables have one
     state eigenvalue per applied operator on every vector.  Leaves that
     stay degenerate are emitted as an orthogonalized basis tagged
-    "unlabeled" and the table's ``complete`` flag drops to False.
+    "unlabeled", so the table is not ``complete``.
     """
     n = basis.degree
     # a state operator that maps the orbit outside itself is refused
@@ -318,19 +327,16 @@ def resolve(basis: OrbitBasis, state_ops: Sequence[Sequence[Sequence[int]]] | No
     vectors: list[LabeledVector] = []
     for leaf in leaves:
         chain = LabelChain(nu(leaf), leaf.labels[n - 1:])
-        tableau = tableau_from_chain(chain.nu)
         # _gram_schmidt returns a single row as it is
         tag = None if leaf.space.dim == 1 else "unlabeled"
         for row in _gram_schmidt(leaf.space.rows):
             coeffs, norm_sq = normalize(row)
-            vectors.append(LabeledVector(chain, tableau, tag, coeffs, norm_sq))
-    complete = all(v.tag is None for v in vectors)
+            vectors.append(LabeledVector(chain, tag, coeffs, norm_sq))
     return CGTable(
         basis=basis,
         vectors=tuple(vectors),
         state_ops=tuple(applied),
         skipped_state_ops=tuple(skipped),
-        complete=complete,
     )
 
 
@@ -502,8 +508,7 @@ def verify_table(table: CGTable) -> VerifyReport:
             partners = range(i + 1, len(vecs))
         bad_pairs.extend((i, j) for j in partners if _dot(v.coeffs, vecs[j].coeffs))
 
-    flagged = any(v.tag is not None for v in vecs)
-    if len(vecs) != d or table.complete == flagged:
+    if len(vecs) != d:
         completeness = Check(
             "completeness", "FAIL",
             f"{len(vecs)} vectors for orbit size {d}; complete flag {table.complete}")
@@ -561,16 +566,23 @@ def block_structure_check(table: CGTable, elements: Sequence[Permutation]) -> Ch
     transformed vector over the pack gives all of its dot products with
     the block.  The Parseval identity sum_b (g v . v_b)^2 / n_b = n_v is
     checked in integers, multiplied through by L = lcm of the block's
-    norms n_b, so a vector whose norm_sq is not positive fails at once.
+    norms n_b, so a vector whose norm_sq is not positive fails at once, as
+    does one whose chain no standard tableau realizes (it has no shape).
     """
     vecs = table.vectors
     d = len(table.basis)
     groups: dict[tuple, list[int]] = {}
+    keys = []
     for i, v in enumerate(vecs):
         if v.norm_sq <= 0:
             return Check("block_structure", "FAIL",
                          f"vector {i} has norm_sq {v.norm_sq}, so no Parseval sum holds")
-        groups.setdefault((v.tableau.shape, v.chain.state_labels), []).append(i)
+        try:
+            keys.append((v.tableau.shape, v.chain.state_labels))
+        except ValueError:
+            return Check("block_structure", "FAIL",
+                         f"vector {i} has chain {v.chain.nu}, which no tableau realizes")
+        groups.setdefault(keys[i], []).append(i)
     blocks = {}
     for key, mates in groups.items():
         coeffs = [vecs[b].coeffs for b in mates]
@@ -588,7 +600,7 @@ def block_structure_check(table: CGTable, elements: Sequence[Permutation]) -> Ch
         for i, v in enumerate(vecs):
             # image[sigma[j]] = coeffs[j]
             image = [padded[i][j] for j in sigma_inv]
-            mates, packed, w, big, weights = blocks[(v.tableau.shape, v.chain.state_labels)]
+            mates, packed, w, big, weights = blocks[keys[i]]
             dots = _unpack(_dot(image, packed), w, len(mates))
             if sum(x * x * wt for x, wt in zip(dots, weights)) != v.norm_sq * big:
                 return Check(

@@ -1,4 +1,4 @@
-"""Partitions, box contents, and standard Young tableaux.
+"""Box contents and standard Young tableaux.
 
 The content of the box in (1-based) row r, column c is c - r.  A standard
 tableau is recovered from an eigenvalue chain by reading off the content
@@ -9,45 +9,7 @@ path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
-
-
-@lru_cache(maxsize=None)
-def partitions(n: int) -> tuple[tuple[int, ...], ...]:
-    """All partitions of n in reverse-lexicographic order.
-
-    >>> partitions(4)
-    ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n == 0:
-        return ((),)
-    out: list[tuple[int, ...]] = []
-
-    def grow(remaining: int, cap: int, prefix: list[int]) -> None:
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for part in range(min(cap, remaining), 0, -1):
-            prefix.append(part)
-            grow(remaining - part, part, prefix)
-            prefix.pop()
-
-    grow(n, n, [])
-    return tuple(out)
-
-
-def content_sum(shape: Sequence[int]) -> int:
-    """Sum of box contents over the diagram of ``shape``.
-
-    >>> content_sum((3,))
-    3
-    >>> content_sum((2, 1))
-    0
-    """
-    return sum(c - r for r, rowlen in enumerate(shape) for c in range(rowlen))
 
 
 @dataclass(frozen=True)
@@ -98,30 +60,17 @@ def addable_corners(shape: Sequence[int]) -> list[tuple[int, int]]:
     return corners
 
 
-def tableau_from_chain(nu: Sequence[int]) -> StandardTableau:
-    """The unique standard tableau whose box contents follow a chain.
+def rows_from_contents(contents: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Rows of the filling that places box j at the addable corner whose
+    content is contents[j - 1] (so box 1 needs content 0).  Raises
+    ValueError when no addable corner has the content asked for.
 
-    ``nu`` is the eigenvalue chain (nu_n, ..., nu_2) of the class-sum
-    operators C(n), ..., C(2); box j then has content nu_j - nu_{j-1}
-    with nu_1 = 0, and box j is placed at the unique addable corner with
-    that content.  Raises ValueError when no such corner exists, i.e.
-    the chain is not realizable.
-
-    >>> tableau_from_chain((3, 1)).rows
-    ((1, 2, 3),)
-    >>> tableau_from_chain((0, -1)).rows
+    >>> rows_from_contents((0, -1, 1))
     ((1, 3), (2,))
     """
-    nus_asc = list(reversed(tuple(nu)))  # nu_2, nu_3, ..., nu_n
-    contents = []
-    prev = 0
-    for v in nus_asc:
-        contents.append(v - prev)
-        prev = v
-    rows: list[list[int]] = [[1]]
-    for entry, want in enumerate(contents, start=2):
-        shape = [len(r) for r in rows]
-        for r, content in addable_corners(shape):
+    rows: list[list[int]] = []
+    for entry, want in enumerate(contents, start=1):
+        for r, content in addable_corners([len(row) for row in rows]):
             if content == want:
                 if r == len(rows):
                     rows.append([entry])
@@ -129,17 +78,31 @@ def tableau_from_chain(nu: Sequence[int]) -> StandardTableau:
                     rows[r].append(entry)
                 break
         else:
-            raise ValueError(
-                f"chain {tuple(nu)} is not realizable: no addable corner has "
-                f"content {want} for box {entry}"
-            )
-    return StandardTableau(tuple(tuple(r) for r in rows))
+            raise ValueError(f"no addable corner has content {want} for box {entry}")
+    return tuple(tuple(row) for row in rows)
+
+
+def tableau_from_chain(nu: Sequence[int]) -> StandardTableau:
+    """The unique standard tableau whose box contents follow a chain.
+
+    ``nu`` is the eigenvalue chain (nu_n, ..., nu_2) of the class-sum
+    operators C(n), ..., C(2); box j then has content nu_j - nu_{j-1}
+    with nu_1 = 0, and rows_from_contents places it, raising ValueError
+    when the chain is not realizable.
+
+    >>> tableau_from_chain((3, 1)).rows
+    ((1, 2, 3),)
+    >>> tableau_from_chain((0, -1)).rows
+    ((1, 3), (2,))
+    """
+    sums = (0, *reversed(tuple(nu)))  # nu_1, nu_2, ..., nu_n
+    contents = (0, *(b - a for a, b in zip(sums, sums[1:])))
+    return StandardTableau(rows_from_contents(contents))
 
 
 __all__ = [
-    "partitions",
-    "content_sum",
     "StandardTableau",
     "addable_corners",
+    "rows_from_contents",
     "tableau_from_chain",
 ]

@@ -17,8 +17,9 @@ an invariant subspace, with rational input and output at the edge
 (row_to_int, from_rows, coords).
 
 The other helpers (dense matrix products, matrix-dump parsing, a
-Fraction RREF view of the package's elimination, cycle-notation parsing
-and inverses) serve only the tests as well.
+Fraction RREF view of the package's elimination, cycle-notation parsing,
+the identity, products, inverses and subgroup transpositions of
+permutations, and content sums of shapes) serve only the tests as well.
 """
 from __future__ import annotations
 
@@ -29,9 +30,8 @@ from math import gcd, lcm
 from symadapt.configs import act_particle, act_state
 from symadapt.linalg import Subspace, _jordan, kernel, restrict_apply
 from symadapt.operators import element_maps, ket_map, maps_to_matrix, state_maps
-from symadapt.perm import Permutation, compose, subgroup_transpositions, transposition
+from symadapt.perm import Permutation, transposition
 from symadapt.solver import Check, VerifyReport
-from symadapt.young import content_sum, partitions
 
 
 def row_to_int(row) -> list[int]:
@@ -99,7 +99,7 @@ def candidate_eigenvalues(k: int) -> tuple[int, ...]:
     """
     if k < 2:
         raise ValueError(f"subgroup degree must be at least 2, got {k}")
-    return tuple(sorted({content_sum(lam) for lam in partitions(k)}, reverse=True))
+    return tuple(sorted({content_sum(lam) for lam in partitions_of(k)}, reverse=True))
 
 
 def restrict(matrix, space: Subspace) -> tuple[tuple[Fraction, ...], ...]:
@@ -299,8 +299,50 @@ def rref(matrix):
     return tuple(out), len(pivots)
 
 
+def identity(n: int) -> Permutation:
+    """The identity permutation of degree n.
+
+    >>> identity(3).images
+    (1, 2, 3)
+    """
+    return Permutation(range(1, n + 1))
+
+
+def compose(p: Permutation, q: Permutation) -> Permutation:
+    """The product p∘q with q applied first: (p∘q)(x) = p(q(x)).
+
+    >>> compose(transposition(1, 2, 3), transposition(2, 3, 3)).images
+    (2, 3, 1)
+    """
+    if p.degree != q.degree:
+        raise ValueError(f"degree mismatch: {p.degree} != {q.degree}")
+    return Permutation(p.images[x - 1] for x in q.images)
+
+
 def inverse(p: Permutation) -> Permutation:
-    return p.inverse()
+    inv = [0] * p.degree
+    for point, img in enumerate(p.images, start=1):
+        inv[img - 1] = point
+    return Permutation(inv)
+
+
+def subgroup_transpositions(k: int, n: int) -> list[Permutation]:
+    """All transpositions (i j) with i < j <= k, embedded in S_n: the
+    k(k-1)/2 terms of the class sum C(k)."""
+    if k < 2:
+        raise ValueError(f"subgroup degree must be at least 2, got {k}")
+    if k > n:
+        raise ValueError(f"subgroup degree {k} exceeds ambient degree {n}")
+    return [transposition(i, j, n) for i in range(1, k) for j in range(i + 1, k + 1)]
+
+
+def content_sum(shape) -> int:
+    """Sum of box contents c - r over the diagram of ``shape``.
+
+    >>> content_sum((3,)), content_sum((2, 1))
+    (3, 0)
+    """
+    return sum(c - r for r, rowlen in enumerate(shape) for c in range(rowlen))
 
 
 def parse_cycles(text: str, n: int) -> Permutation:
@@ -406,7 +448,12 @@ def verify_table_reference(table) -> VerifyReport:
     chain_maps = {
         k: element_maps(subgroup_transpositions(k, n), basis) for k in range(2, n + 1)
     }
-    op_maps = [state_maps(op, basis) for op in table.state_ops]
+    op_maps = []
+    for op in table.state_ops:
+        try:
+            op_maps.append(state_maps(op, basis))
+        except ValueError:  # the operator maps the orbit outside itself
+            op_maps.append(None)
 
     def malformed(v) -> bool:
         return (len(v.coeffs) != d or len(v.chain.nu) != n - 1
@@ -421,7 +468,8 @@ def verify_table_reference(table) -> VerifyReport:
             if _apply_maps(chain_maps[k], v.coeffs) != [nu_k * c for c in v.coeffs]:
                 failures.append((i, f"C({k})"))
         for idx, lab in enumerate(v.chain.state_labels):
-            if _apply_maps(op_maps[idx], v.coeffs) != [lab * c for c in v.coeffs]:
+            maps = op_maps[idx]
+            if maps is None or _apply_maps(maps, v.coeffs) != [lab * c for c in v.coeffs]:
                 failures.append((i, f"state op {idx}"))
     checks.append(
         Check("eigen_equations", "PASS" if not failures else "FAIL",
@@ -447,16 +495,15 @@ def verify_table_reference(table) -> VerifyReport:
               "" if not jm_failures else f"failed differences {jm_failures[:5]}")
     )
 
-    flagged = any(v.tag is not None for v in vecs)
-    if len(vecs) != d or table.complete == flagged:
+    unlabeled = sum(1 for v in vecs if v.tag is not None)
+    if len(vecs) != d:
         checks.append(
             Check("completeness", "FAIL",
-                  f"{len(vecs)} vectors for orbit size {d}; complete flag {table.complete}")
+                  f"{len(vecs)} vectors for orbit size {d}; complete flag {not unlabeled}")
         )
-    elif table.complete:
+    elif not unlabeled:
         checks.append(Check("completeness", "PASS"))
     else:
-        unlabeled = sum(1 for v in vecs if v.tag is not None)
         checks.append(
             Check("completeness", "WARN",
                   f"{unlabeled} of {len(vecs)} vectors left unlabeled (flagged residue)")
@@ -478,14 +525,20 @@ def verify_table_reference(table) -> VerifyReport:
 
     if table.state_ops:
         m = len(basis.alphabet)
+        words = set(basis.configs)
         bad_ops = []
         for op in table.state_ops:
             for s, t in op:
                 images = list(range(1, m + 1))
                 images[s], images[t] = t + 1, s + 1
                 swap = Permutation(images)
-                if any(act_particle(g, act_state(swap, w)) != act_state(swap, act_particle(g, w))
-                       for g in generators for w in basis.configs):
+                # a swap of states with unequal multiplicities commutes on
+                # words but sends orbit words outside the orbit; a pair that
+                # names one state twice is no transposition at all
+                if s == t or any(act_state(swap, w) not in words for w in basis.configs) or any(
+                    act_particle(g, act_state(swap, w)) != act_state(swap, act_particle(g, w))
+                    for g in generators for w in basis.configs
+                ):
                     bad_ops.append(op)
                     break
         checks.append(
@@ -501,13 +554,19 @@ def block_structure_reference(table, elements) -> Check:
     product at a time."""
     vecs = table.vectors
     d = len(table.basis)
+    keys = []
     for i, v in enumerate(vecs):
         if v.norm_sq <= 0:
             return Check("block_structure", "FAIL",
                          f"vector {i} has norm_sq {v.norm_sq}, so no Parseval sum holds")
+        try:
+            keys.append((v.tableau.shape, v.chain.state_labels))
+        except ValueError:
+            return Check("block_structure", "FAIL",
+                         f"vector {i} has chain {v.chain.nu}, which no tableau realizes")
     groups: dict[tuple, list[int]] = {}
-    for i, v in enumerate(vecs):
-        groups.setdefault((v.tableau.shape, v.chain.state_labels), []).append(i)
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
     direct = d <= 32
     for g in elements:
         sigma = ket_map(g, table.basis)
@@ -515,7 +574,7 @@ def block_structure_reference(table, elements) -> Check:
             image = [0] * d
             for j, c in enumerate(v.coeffs):
                 image[sigma[j]] = c
-            mates = groups[(v.tableau.shape, v.chain.state_labels)]
+            mates = groups[keys[i]]
             projected = sum(
                 Fraction(_dot(image, vecs[b].coeffs) ** 2, vecs[b].norm_sq)
                 for b in mates

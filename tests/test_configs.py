@@ -13,10 +13,10 @@ from symadapt.configs import (
     orbit,
     parse_ordering,
 )
-from symadapt.perm import Permutation, compose, identity, transposition
+from symadapt.perm import Permutation, transposition
 
 from helpers import S3_DISTINCT_ORDER, make_basis, random_permutation
-from oracles import brute_orbit
+from oracles import brute_orbit, compose, identity
 
 ABC = StateAlphabet("abc")
 

@@ -5,17 +5,18 @@ from math import gcd
 import pytest
 
 from symadapt.linalg import NotInvariantError, Subspace, intersect, kernel
-from symadapt.young import content_sum, partitions
 
 from helpers import make_basis
 from oracles import (
     candidate_eigenvalues,
     class_operator,
     contains,
+    content_sum,
     coords,
     eigenspace,
     from_rows,
     mat_identity,
+    partitions_of,
     restrict,
     row_to_int,
     rref,
@@ -125,7 +126,7 @@ def test_candidate_eigenvalues_small():
 
 def test_candidate_eigenvalues_are_content_sums():
     for k in range(2, 8):
-        assert set(candidate_eigenvalues(k)) == {content_sum(lam) for lam in partitions(k)}
+        assert set(candidate_eigenvalues(k)) == {content_sum(lam) for lam in partitions_of(k)}
 
 
 def test_candidate_eigenvalues_match_brute_force_at_k4():

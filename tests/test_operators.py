@@ -4,23 +4,21 @@ import pytest
 
 from symadapt.cli import main
 from symadapt.operators import apply_maps, element_maps, ket_map
-from symadapt.perm import (
-    compose,
-    identity,
-    subgroup_transpositions,
-    transposition,
-)
+from symadapt.perm import transposition
 
 from helpers import make_basis, random_permutation, s3_distinct_basis
 from oracles import (
     all_elements,
     class_operator,
     commutes,
+    compose,
+    identity,
     load_matrix_dump,
     mat_identity,
     mat_mul,
     matrix_of_elements,
     state_operator,
+    subgroup_transpositions,
 )
 
 

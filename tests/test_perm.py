@@ -2,17 +2,10 @@ import random
 
 import pytest
 
-from symadapt.perm import (
-    Permutation,
-    compose,
-    cycle_string,
-    identity,
-    subgroup_transpositions,
-    transposition,
-)
+from symadapt.perm import Permutation, cycle_string, transposition
 
 from helpers import random_permutation
-from oracles import inverse, parse_cycles
+from oracles import compose, identity, inverse, parse_cycles, subgroup_transpositions
 
 
 def test_identity_fixes_everything():

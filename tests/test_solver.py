@@ -1,12 +1,12 @@
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from symadapt import solver
 from symadapt.linalg import Subspace, intersect, kernel
 from symadapt.operators import apply_maps, element_maps, state_maps
-from symadapt.perm import subgroup_transpositions
 from symadapt.solver import (
     CGTable,
     InternalCheckError,
@@ -18,7 +18,7 @@ from symadapt.solver import (
     spectrum,
     verify_table,
 )
-from symadapt.young import partitions
+from symadapt.young import tableau_from_chain
 
 from helpers import make_basis, random_permutation, s3_distinct_basis
 from oracles import (
@@ -27,6 +27,7 @@ from oracles import (
     partitions_of,
     spectrum_reference,
     standard_tableaux,
+    subgroup_transpositions,
 )
 
 
@@ -138,6 +139,20 @@ def test_non_invariant_user_operator_is_skipped():
     assert table.complete
 
 
+def test_tableau_is_decoded_from_the_chain():
+    # vectors 1 and 3 of aabc have one shape but different tableaux; with
+    # the tableau read off chain.nu, no table can pair a chain with the
+    # other vector's tableau
+    vecs = resolve(make_basis("aabc")).vectors
+    assert vecs[1].tableau.shape == vecs[3].tableau.shape
+    assert vecs[1].tableau != vecs[3].tableau
+    with pytest.raises(TypeError):
+        replace(vecs[1], tableau=vecs[3].tableau)
+    for cfg, ops in [("aabc", None), ("abcde", None), ("abcd", [[(0, 1), (1, 2), (2, 3)]])]:
+        for v in resolve(make_basis(cfg), ops).vectors:
+            assert v.tableau == tableau_from_chain(v.chain.nu)
+
+
 def test_resolve_deterministic():
     for cfg in ["aab", "abc", "aabc"]:
         a = resolve(make_basis(cfg))
@@ -174,13 +189,11 @@ def test_verify_catches_corrupted_coefficient():
         basis=table.basis,
         vectors=(
             table.vectors[0],
-            LabeledVector(v.chain, v.tableau, v.tag, broken_coeffs,
-                          sum(c * c for c in broken_coeffs)),
+            LabeledVector(v.chain, v.tag, broken_coeffs, sum(c * c for c in broken_coeffs)),
             table.vectors[2],
         ),
         state_ops=table.state_ops,
         skipped_state_ops=table.skipped_state_ops,
-        complete=table.complete,
     )
     report = verify_table(broken)
     assert not report.passed
@@ -198,19 +211,6 @@ def test_verify_warns_on_honest_incomplete_table():
     assert all(status == "PASS" for name, status in by_name.items() if name != "completeness")
 
 
-def test_verify_fails_on_inconsistent_complete_flag():
-    table = resolve(make_basis("aab"))
-    lying = CGTable(
-        basis=table.basis,
-        vectors=table.vectors,
-        state_ops=table.state_ops,
-        skipped_state_ops=table.skipped_state_ops,
-        complete=False,
-    )
-    report = verify_table(lying)
-    assert not report.passed
-
-
 def test_multiplicity_structure_matches_kostka_numbers():
     # the number of vectors carrying a given standard tableau equals the
     # semistandard-filling count of its shape, independent of the tableau
@@ -221,7 +221,7 @@ def test_multiplicity_structure_matches_kostka_numbers():
         table = resolve(basis)
         counts = Counter(v.tableau.rows for v in table.vectors)
         realized_shapes = {tab.shape for tab in (v.tableau for v in table.vectors)}
-        expected_shapes = {lam for lam in partitions(n) if kostka(lam, content)}
+        expected_shapes = {lam for lam in partitions_of(n) if kostka(lam, content)}
         assert realized_shapes == expected_shapes
         expected_tableau_count = sum(
             len(standard_tableaux(lam)) for lam in expected_shapes

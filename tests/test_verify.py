@@ -75,8 +75,7 @@ def _mixed(table, i: int, j: int):
 
 def _swapped(table, a: int, b: int):
     va, vb = table.vectors[a], table.vectors[b]
-    return _with(table, {a: replace(va, chain=vb.chain, tableau=vb.tableau),
-                         b: replace(vb, chain=va.chain, tableau=va.tableau)})
+    return _with(table, {a: replace(va, chain=vb.chain), b: replace(vb, chain=va.chain)})
 
 
 # aaabbc has 60 kets, so block_structure_check relies on the packed Parseval
@@ -269,6 +268,13 @@ def test_malformed_record_fails_the_eigen_equations_without_raising(change):
     assert report.checks[2] == Check(
         "eigen_equations", "FAIL", "failed equations [(0, 'malformed record')]"
     )
+    if len(broken.vectors[0].chain.nu) == 1:
+        # the short chain (3,) asks box 2 for content 3, so no tableau has it
+        unrealizable = Check("block_structure", "FAIL",
+                             "vector 0 has chain (3,), which no tableau realizes")
+        assert report.checks[5] == unrealizable
+        s3 = [transposition(1, 2, 3), transposition(2, 3, 3)]
+        assert block_structure_check(broken, s3) == block_structure_reference(broken, s3)
 
 
 def test_a_generator_map_that_breaks_a_coxeter_relation_fails(monkeypatch):
@@ -296,6 +302,7 @@ def test_an_operator_that_leaves_the_orbit_is_reported_not_raised():
         (labelled, "FAIL eigen_equations: failed equations [(0, 'state op 0')]"),
     ]:
         report = verify_table(broken)
+        assert report == verify_table_reference(broken)
         assert not report.passed
         assert report.lines() == [
             "PASS unit_norm",
@@ -307,3 +314,7 @@ def test_an_operator_that_leaves_the_orbit_is_reported_not_raised():
             REPRESENTATION,
             leaves,
         ]
+    # a pair that names one state twice is no transposition; both refuse it
+    degenerate = replace(table, state_ops=(((0, 0),),))
+    assert verify_table(degenerate) == verify_table_reference(degenerate)
+    assert verify_table(degenerate).checks[-1].status == "FAIL"
