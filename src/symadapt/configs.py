@@ -15,6 +15,7 @@ in.
 from __future__ import annotations
 
 from collections import Counter
+from math import factorial, prod
 from typing import Iterable, Iterator, Sequence
 
 from .perm import Permutation
@@ -137,8 +138,8 @@ def act_state(s: Permutation, word: Sequence[int]) -> Word:
 
 
 class OrbitBasis:
-    """The ordered, deduplicated particle-action orbit of a configuration.
-
+    """The ordered particle-action orbit of a configuration: ``configs``
+    lists every distinct rearrangement of ``seed`` once, or is refused.
     ``_maps`` holds the ket map of every permutation that
     operators.element_maps maps on this basis, so each is built once and
     dies with it.
@@ -152,8 +153,11 @@ class OrbitBasis:
         self.configs = tuple(tuple(w) for w in configs)
         self._index = {w: i for i, w in enumerate(self.configs)}
         self._maps: dict[Permutation, tuple[int, ...]] = {}
-        if len(self._index) != len(self.configs):
-            raise ValueError("orbit basis contains duplicate configurations")
+        letters = sorted(self.seed)
+        size = factorial(len(letters)) // prod(map(factorial, Counter(letters).values()))
+        if (len(self._index) != len(self.configs) or len(self.configs) != size
+                or any(sorted(w) != letters for w in self.configs)):
+            raise ValueError("ordering is not a permutation of orbit")
 
     @property
     def degree(self) -> int:
@@ -181,9 +185,6 @@ class OrbitBasis:
 
     def with_ordering(self, words: Sequence[Sequence[int]]) -> "OrbitBasis":
         """The same orbit under an explicit ordering (e.g. from an override file)."""
-        words = [tuple(w) for w in words]
-        if sorted(words) != sorted(self.configs):
-            raise ValueError("ordering is not a permutation of orbit")
         return OrbitBasis(self.alphabet, self.seed, words)
 
     def __eq__(self, other: object) -> bool:

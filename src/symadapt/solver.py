@@ -90,16 +90,34 @@ class LabeledVector:
 
 @dataclass(frozen=True)
 class CGTable:
-    """The resolved basis of one orbit: vector count always equals orbit size.
+    """The resolved basis of one orbit: resolve() writes one vector per ket.
 
     Stored: the orbit basis, the vectors, and the state operators that
     were applied and skipped.  Derived: ``complete``, read off the tags.
+    A record that resolve() never writes raises ValueError: a state operator
+    that normalize_state_pairs rejects, or a vector without one coefficient
+    per ket, with more state labels than operators, or with no n-box tableau.
     """
 
     basis: OrbitBasis
     vectors: tuple[LabeledVector, ...]
     state_ops: tuple[StateOp, ...]
     skipped_state_ops: tuple[StateOp, ...]
+
+    def __post_init__(self):
+        for op in self.state_ops + self.skipped_state_ops:
+            normalize_state_pairs(op, self.basis)
+        d, n, ops = len(self.basis), self.basis.degree, len(self.state_ops)
+        for i, v in enumerate(self.vectors):
+            if len(v.coeffs) != d or len(v.chain.state_labels) > ops:
+                raise ValueError(f"vector {i} has {len(v.coeffs)} coefficients and state labels "
+                                 f"{v.chain.state_labels}, for {d} kets and {ops} state operators")
+            try:
+                realized = sum(v.tableau.shape) == n
+            except ValueError:
+                realized = False
+            if not realized:
+                raise ValueError(f"vector {i} has chain {v.chain.nu}, which spells no tableau of {n} boxes")
 
     @property
     def complete(self) -> bool:
@@ -421,9 +439,7 @@ def verify_table(table: CGTable) -> VerifyReport:
     structure on the adjacent transpositions (1 2), ..., (n-1 n), the
     representation property of the orbit action and, when state operators
     were applied, their commutation with the same transpositions.  An
-    honestly flagged incomplete table yields a warning, not a failure.  A
-    recorded state operator that maps the orbit outside itself fails the
-    commutation check and every eigen-equation that uses it.
+    honestly flagged incomplete table yields a warning, not a failure.
 
     Orthogonality is read off the spectrum.  Every recorded operator is a
     sum of ket maps; when each map is an involution the operator is a
@@ -450,25 +466,16 @@ def verify_table(table: CGTable) -> VerifyReport:
     bad_norm = []
     for i, v in enumerate(vecs):
         lead = next((c for c in v.coeffs if c), 0)
-        if (len(v.coeffs) != d or v.norm_sq <= 0 or _dot(v.coeffs, v.coeffs) != v.norm_sq
+        if (v.norm_sq <= 0 or _dot(v.coeffs, v.coeffs) != v.norm_sq
                 or gcd(*v.coeffs) != 1 or lead <= 0):
             bad_norm.append(i)
 
     failures = []
     jm_failures = []
     x_maps = [jm_maps(j, basis) for j in range(2, n + 1)]
-    op_maps = []
-    for op in table.state_ops:
-        try:
-            op_maps.append(state_maps(op, basis))
-        except ValueError:  # the operator maps the orbit outside itself
-            op_maps.append(None)
+    op_maps = [state_maps(op, basis) for op in table.state_ops]
     for i, v in enumerate(vecs):
-        coeffs = v.coeffs
-        nu = v.chain.nu
-        if len(coeffs) != d or len(nu) != n - 1 or len(v.chain.state_labels) > len(op_maps):
-            failures.append((i, "malformed record"))
-            continue
+        coeffs, nu = v.coeffs, v.chain.nu
         # (C(j) - nu_j) v = sum of (X(k) - content_k) v over k <= j; None while zero
         total = None
         for j, maps in enumerate(x_maps, start=2):
@@ -481,9 +488,8 @@ def verify_table(table: CGTable) -> VerifyReport:
                     total = None
             if total is not None:
                 failures.append((i, f"C({j})"))
-        for idx, lab in enumerate(v.chain.state_labels):
-            maps = op_maps[idx]
-            if maps is None or apply_maps(maps, coeffs) != [lab * c for c in coeffs]:
+        for idx, (lab, maps) in enumerate(zip(v.chain.state_labels, op_maps)):
+            if apply_maps(maps, coeffs) != [lab * c for c in coeffs]:
                 failures.append((i, f"state op {idx}"))
 
     # the C(j) equations imply the X(j) ones, so failures names every
@@ -493,7 +499,7 @@ def verify_table(table: CGTable) -> VerifyReport:
     )
     symmetric = all(
         sigma[s] == t
-        for maps in x_maps + op_maps for sigma in maps or () for t, s in enumerate(sigma)
+        for maps in x_maps + op_maps for sigma in maps for t, s in enumerate(sigma)
     )
     groups: dict[tuple, list[int]] = {}
     for i, v in enumerate(vecs):
@@ -544,8 +550,8 @@ def verify_table(table: CGTable) -> VerifyReport:
     if table.state_ops:
         bad_ops = [
             op for op, maps in zip(table.state_ops, op_maps)
-            if maps is None or any(tuple(smap[j] for j in gmap) != tuple(gmap[j] for j in smap)
-                                   for smap in maps for gmap in s_maps)
+            if any(tuple(smap[j] for j in gmap) != tuple(gmap[j] for j in smap)
+                   for smap in maps for gmap in s_maps)
         ]
         checks.append(_verdict("state_particle_commutation", bad_ops,
                                f"non-commuting state operators {bad_ops}"))
@@ -566,8 +572,7 @@ def block_structure_check(table: CGTable, elements: Sequence[Permutation]) -> Ch
     transformed vector over the pack gives all of its dot products with
     the block.  The Parseval identity sum_b (g v . v_b)^2 / n_b = n_v is
     checked in integers, multiplied through by L = lcm of the block's
-    norms n_b, so a vector whose norm_sq is not positive fails at once, as
-    does one whose chain no standard tableau realizes (it has no shape).
+    norms n_b, so a vector whose norm_sq is not positive fails at once.
     """
     vecs = table.vectors
     d = len(table.basis)
@@ -577,11 +582,7 @@ def block_structure_check(table: CGTable, elements: Sequence[Permutation]) -> Ch
         if v.norm_sq <= 0:
             return Check("block_structure", "FAIL",
                          f"vector {i} has norm_sq {v.norm_sq}, so no Parseval sum holds")
-        try:
-            keys.append((v.tableau.shape, v.chain.state_labels))
-        except ValueError:
-            return Check("block_structure", "FAIL",
-                         f"vector {i} has chain {v.chain.nu}, which no tableau realizes")
+        keys.append((v.tableau.shape, v.chain.state_labels))
         groups.setdefault(keys[i], []).append(i)
     blocks = {}
     for key, mates in groups.items():
@@ -590,8 +591,6 @@ def block_structure_check(table: CGTable, elements: Sequence[Permutation]) -> Ch
         big = lcm(*(vecs[b].norm_sq for b in mates))
         weights = [big // vecs[b].norm_sq for b in mates]
         blocks[key] = (mates, _pack_columns(coeffs, w), w, big, weights)
-    # a short vector reads as zero-padded
-    padded = [v.coeffs + (0,) * (d - len(v.coeffs)) for v in vecs]
     direct = d <= 32
     for g, sigma in zip(elements, element_maps(elements, table.basis)):
         sigma_inv = [0] * d
@@ -599,7 +598,7 @@ def block_structure_check(table: CGTable, elements: Sequence[Permutation]) -> Ch
             sigma_inv[t] = j
         for i, v in enumerate(vecs):
             # image[sigma[j]] = coeffs[j]
-            image = [padded[i][j] for j in sigma_inv]
+            image = [v.coeffs[j] for j in sigma_inv]
             mates, packed, w, big, weights = blocks[keys[i]]
             dots = _unpack(_dot(image, packed), w, len(mates))
             if sum(x * x * wt for x, wt in zip(dots, weights)) != v.norm_sq * big:

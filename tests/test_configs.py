@@ -6,6 +6,7 @@ import pytest
 
 from symadapt.configs import (
     MAX_DEGREE,
+    OrbitBasis,
     StateAlphabet,
     act_particle,
     act_state,
@@ -137,6 +138,18 @@ def test_ordering_override():
         make_basis("abc", order=["abc", "bac", "cba", "acb", "cab", "cab"])
     with pytest.raises(ValueError, match="not a permutation of orbit"):
         make_basis("aab", order=["aab", "aba"])
+
+
+@pytest.mark.parametrize("words", [
+    pytest.param([(0, 0, 1), (0, 1, 0)], id="part-of-the-orbit"),
+    pytest.param([(0, 0, 1), (0, 1, 0), (0, 1, 0)], id="repeated-word"),
+    pytest.param([(0, 0, 1), (0, 1, 0), (1, 1, 0)], id="not-a-rearrangement"),
+    pytest.param([(0, 0, 1), (0, 1, 0), (1, 0, 0), (0, 0, 0)], id="extra-word"),
+])
+def test_orbit_basis_refuses_anything_but_the_whole_orbit(words):
+    # on part of an orbit, a particle permutation's ket map leaves the basis
+    with pytest.raises(ValueError, match="ordering is not a permutation of orbit"):
+        OrbitBasis(StateAlphabet("ab"), (0, 0, 1), words)
 
 
 def test_parse_ordering_skips_blank_lines():

@@ -2,11 +2,12 @@
 packed block sums and Coxeter relations, and block_structure_check's
 packed block dot products, must report exactly what the direct
 all-pairs dot products, Fraction Parseval sums and maps of composed
-permutations report.  Malformed label records, zero vectors and
-recorded operators that leave the orbit are reported as failures, never
-raised."""
+permutations report.  Zero vectors and short remainder label records are
+reported, never raised.  A table refuses broken bookkeeping when it is
+built: a record that resolve never writes raises ValueError there."""
 import random
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 from functools import lru_cache
 from math import factorial, prod
 from operator import mul
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from symadapt.perm import transposition
 from symadapt.solver import (
+    CGTable,
     Check,
     LabelChain,
     _pack_columns,
@@ -254,29 +256,6 @@ def test_zero_vector_fails_block_structure_without_raising():
     ]
 
 
-@pytest.mark.parametrize("change", [
-    pytest.param(lambda v: replace(v, chain=LabelChain(v.chain.nu, (1,))), id="extra-state-label"),
-    pytest.param(lambda v: replace(v, chain=LabelChain(v.chain.nu[:1], ())), id="short-nu"),
-    pytest.param(lambda v: replace(v, coeffs=v.coeffs[:2]), id="short-coefficients"),
-])
-def test_malformed_record_fails_the_eigen_equations_without_raising(change):
-    # aab has no state operators, so one state label is one too many
-    table = _table("aab")
-    broken = _with(table, {0: change(table.vectors[0])})
-    report = verify_table(broken)
-    assert report == verify_table_reference(broken)
-    assert report.checks[2] == Check(
-        "eigen_equations", "FAIL", "failed equations [(0, 'malformed record')]"
-    )
-    if len(broken.vectors[0].chain.nu) == 1:
-        # the short chain (3,) asks box 2 for content 3, so no tableau has it
-        unrealizable = Check("block_structure", "FAIL",
-                             "vector 0 has chain (3,), which no tableau realizes")
-        assert report.checks[5] == unrealizable
-        s3 = [transposition(1, 2, 3), transposition(2, 3, 3)]
-        assert block_structure_check(broken, s3) == block_structure_reference(broken, s3)
-
-
 def test_a_generator_map_that_breaks_a_coxeter_relation_fails(monkeypatch):
     # (1 2) mapped as the identity still squares to 1, but (s_1 s_2)^3 is
     # then s_2, which moves kets of abc
@@ -290,31 +269,42 @@ def test_a_generator_map_that_breaks_a_coxeter_relation_fails(monkeypatch):
     )
 
 
-def test_an_operator_that_leaves_the_orbit_is_reported_not_raised():
-    # (a b) swaps states of multiplicities 2 and 1, so it maps the orbit of
-    # aab outside itself; with the label, vector 0 claims an eigenvalue of it
-    table = replace(_table("aab"), state_ops=(((0, 1),),))
-    v = table.vectors[0]
-    labelled = _with(table, {0: replace(v, chain=LabelChain(v.chain.nu, (1,)))})
-    leaves = "FAIL state_particle_commutation: non-commuting state operators [((0, 1),)]"
-    for broken, equations in [
-        (table, "PASS eigen_equations"),
-        (labelled, "FAIL eigen_equations: failed equations [(0, 'state op 0')]"),
-    ]:
-        report = verify_table(broken)
-        assert report == verify_table_reference(broken)
-        assert not report.passed
-        assert report.lines() == [
-            "PASS unit_norm",
-            "PASS orthogonality",
-            equations,
-            "PASS jucys_murphy",
-            "PASS completeness",
-            "PASS block_structure",
-            REPRESENTATION,
-            leaves,
-        ]
-    # a pair that names one state twice is no transposition; both refuse it
-    degenerate = replace(table, state_ops=(((0, 0),),))
-    assert verify_table(degenerate) == verify_table_reference(degenerate)
-    assert verify_table(degenerate).checks[-1].status == "FAIL"
+def _first(change):
+    """The table fields with vector 0 changed."""
+    return lambda t: {"vectors": (change(t.vectors[0]),) + t.vectors[1:]}
+
+
+# aab has no state operators, so one state label is one too many
+REFUSALS = [
+    pytest.param(_first(lambda v: replace(v, chain=LabelChain(v.chain.nu, (1,)))),
+                 "vector 0 has 3 coefficients and state labels (1,), for 3 kets and 0 state operators",
+                 id="extra-state-label"),
+    pytest.param(_first(lambda v: replace(v, chain=LabelChain(v.chain.nu[:1], ()))),
+                 "vector 0 has chain (3,), which spells no tableau of 3 boxes", id="short-nu"),
+    pytest.param(_first(lambda v: replace(v, coeffs=v.coeffs[:2])),
+                 "vector 0 has 2 coefficients and state labels (), for 3 kets and 0 state operators",
+                 id="short-coefficients"),
+    # box 2 cannot have content 3
+    pytest.param(_first(lambda v: replace(v, chain=LabelChain((0, 3), ()))),
+                 "vector 0 has chain (0, 3), which spells no tableau of 3 boxes", id="unrealizable-nu"),
+] + [
+    pytest.param(lambda t, field=field, op=op: {field: (op,)}, message, id=f"{field}-{name}")
+    for field in ("state_ops", "skipped_state_ops")
+    for op, message, name in [
+        (((0, 0),), "state transposition needs two distinct states, got (a a)", "one-state-twice"),
+        # (a b) swaps states of multiplicities 2 and 1
+        (((0, 1),), "state swap (a b) does not preserve the orbit: multiplicity of a is 2 "
+                    "but multiplicity of b is 1", "orbit-escaping"),
+        (((0, 5),), "state indices (0, 5) out of range for alphabet ('a', 'b')", "out-of-range"),
+    ]
+]
+
+
+@pytest.mark.parametrize("change, message", REFUSALS)
+def test_a_table_refuses_records_that_resolve_never_writes(change, message):
+    table = _table("aab")
+    changes = change(table)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        replace(table, **changes)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        CGTable(**{f.name: getattr(table, f.name) for f in fields(table)} | changes)
