@@ -19,7 +19,7 @@ import os
 import sys
 
 from .configs import OrbitBasis, StateAlphabet, alphabet_for, orbit, parse_ordering
-from .operators import class_maps, maps_to_matrix, state_maps
+from .operators import class_maps, maps_to_matrix, normalize_state_pairs, state_maps
 from .solver import (
     CGTable,
     StateOp,
@@ -53,12 +53,13 @@ def parse_state_ops(text: str, alphabet: StateAlphabet) -> list[list[tuple[int, 
     return ops
 
 
-def read_inputs(args: argparse.Namespace) -> tuple[OrbitBasis, list[list[tuple[int, int]]] | None]:
-    """The orbit basis and the parsed state operators of one invocation.
+def read_inputs(args: argparse.Namespace) -> tuple[OrbitBasis, list[StateOp] | None]:
+    """The orbit basis and the checked state operators of one invocation.
 
-    Inputs are checked in a fixed order, so a run with several bad inputs
-    always names the same one: alphabet, word, --order file, --state-ops,
-    then the orbit."""
+    Inputs are checked in a fixed order, before any output, so a run with
+    several bad inputs always names the same one: alphabet, word, --order
+    file, --state-ops syntax, the orbit, then the operators' multiplicities
+    on that orbit."""
     alphabet = (
         StateAlphabet.from_text(args.alphabet) if args.alphabet else alphabet_for(args.config)
     )
@@ -74,6 +75,8 @@ def read_inputs(args: argparse.Namespace) -> tuple[OrbitBasis, list[list[tuple[i
     basis = orbit(word, alphabet)
     if ordering is not None:
         basis = basis.with_ordering(ordering)
+    if state_ops is not None:
+        state_ops = [normalize_state_pairs(op, basis) for op in state_ops]
     return basis, state_ops
 
 
@@ -144,11 +147,11 @@ def render_text_table(table: CGTable) -> str:
         skipped = ", ".join(_state_op_text(op, alpha) for op in table.skipped_state_ops)
         lines.append(f"skipped state operators (not invariant on every leaf): {skipped}")
     lines.append(f"complete: {'yes' if table.complete else 'no'}")
-    for idx, v in enumerate(table.vectors, 1):
+    for idx, v in enumerate(table.vectors):
         lines.append("")
-        head = f"vector {idx}: nu={_labels_text(v.chain.nu)} state={_labels_text(v.chain.state_labels)}"
-        if v.tag is not None:
-            head += f" [{v.tag}]"
+        head = f"vector {idx + 1}: nu={_labels_text(v.chain.nu)} state={_labels_text(v.chain.state_labels)}"
+        if idx in table.unlabeled:
+            head += " [unlabeled]"
         lines.append(head)
         lines.extend("  " + row for row in v.tableau.bracket_lines())
         lines.append("  " + _vector_terms(v, basis))
@@ -158,7 +161,7 @@ def render_text_table(table: CGTable) -> str:
 def table_to_dict(table: CGTable) -> dict:
     basis = table.basis
     vectors = []
-    for v in table.vectors:
+    for idx, v in enumerate(table.vectors):
         entry = {
             "nu": list(v.chain.nu),
             "state_eigenvalues": list(v.chain.state_labels),
@@ -166,8 +169,8 @@ def table_to_dict(table: CGTable) -> dict:
             "coeffs": list(v.coeffs),
             "norm_sq": v.norm_sq,
         }
-        if v.tag is not None:
-            entry["tag"] = v.tag
+        if idx in table.unlabeled:
+            entry["tag"] = "unlabeled"
         vectors.append(entry)
     return {
         **_header(basis),
@@ -224,6 +227,9 @@ def cmd_basis(args: argparse.Namespace, table: CGTable) -> int:
 
 def cmd_eigenvalues(args: argparse.Namespace, basis: OrbitBasis) -> int:
     k = args.k
+    if basis.degree < 2:
+        raise ValueError(
+            f"eigenvalues needs at least 2 particles, the configuration has {basis.degree}")
     if not 2 <= k <= basis.degree:
         raise ValueError(f"--k must lie in 2..{basis.degree}, got {k}")
     if args.verbose:

@@ -10,7 +10,7 @@ O(dim + terms * nonzeros).
 """
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .configs import OrbitBasis, act_particle, act_state
 from .perm import Permutation, transposition
@@ -53,14 +53,17 @@ def class_maps(k: int, basis: OrbitBasis) -> list[tuple[int, ...]]:
 def normalize_state_pairs(pairs: Sequence[Sequence[int]], basis: OrbitBasis) -> tuple[StatePair, ...]:
     """Validate a list of alphabet transpositions against the orbit.
 
-    Each pair must name two distinct states of equal multiplicity in the
-    configuration, otherwise the state swap would map the orbit outside
-    itself.
+    Each pair must be two int alphabet indices naming distinct states of
+    equal multiplicity in the configuration, otherwise the state swap would
+    map the orbit outside itself; anything else raises ValueError.
     """
     labels = basis.alphabet.labels
     mults = basis.multiplicities()
     out = []
     for pair in pairs:
+        if not (isinstance(pair, Sequence) and len(pair) == 2
+                and all(isinstance(x, int) and not isinstance(x, bool) for x in pair)):
+            raise ValueError(f"state transposition {pair!r} is not a pair of alphabet indices")
         s, t = pair
         if not (0 <= s < len(labels) and 0 <= t < len(labels)):
             raise ValueError(f"state indices {pair} out of range for alphabet {labels}")

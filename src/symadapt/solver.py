@@ -68,16 +68,15 @@ class LabelChain:
 class LabeledVector:
     """One symmetry-adapted basis vector with exact radical coefficients.
 
-    Stored: the eigenvalue chain, the tag, and the coefficients.  The
-    actual coefficient on basis ket i is coeffs[i] / sqrt(norm_sq);
-    coeffs is primitive (gcd 1) with its first nonzero entry positive.
-    Vectors from a degeneracy that no operator managed to lift carry
-    tag == "unlabeled".  Derived: the standard tableau, decoded from
-    chain.nu, so it is always the one the eigen-equations check.
+    Stored: the eigenvalue chain and the coefficients.  The actual
+    coefficient on basis ket i is coeffs[i] / sqrt(norm_sq); coeffs is
+    primitive (gcd 1) with its first nonzero entry positive.  Derived: the
+    standard tableau, decoded from chain.nu, so it is always the one the
+    eigen-equations check.  Whether the vector is labeled is a fact of the
+    table (CGTable.unlabeled), not of the vector.
     """
 
     chain: LabelChain
-    tag: str | None
     coeffs: tuple[int, ...]
     norm_sq: int
 
@@ -93,7 +92,8 @@ class CGTable:
     """The resolved basis of one orbit: resolve() writes one vector per ket.
 
     Stored: the orbit basis, the vectors, and the state operators that
-    were applied and skipped.  Derived: ``complete``, read off the tags.
+    were applied and skipped.  Derived: ``records``, ``unlabeled`` and
+    ``complete``, all read off the vectors' label records.
     A record that resolve() never writes raises ValueError: a state operator
     that normalize_state_pairs rejects, or a vector without one coefficient
     per ket, with more state labels than operators, or with no n-box tableau.
@@ -119,10 +119,23 @@ class CGTable:
             if not realized:
                 raise ValueError(f"vector {i} has chain {v.chain.nu}, which spells no tableau of {n} boxes")
 
+    @cached_property
+    def records(self) -> dict[LabelChain, list[int]]:
+        """The indices of the vectors under each label record."""
+        index: dict[LabelChain, list[int]] = {}
+        for i, v in enumerate(self.vectors):
+            index.setdefault(v.chain, []).append(i)
+        return index
+
+    @cached_property
+    def unlabeled(self) -> frozenset[int]:
+        """The vectors whose label record another vector shares."""
+        return frozenset(i for mates in self.records.values() if len(mates) > 1 for i in mates)
+
     @property
     def complete(self) -> bool:
-        """True when no vector is tagged: every vector has its own labels."""
-        return all(v.tag is None for v in self.vectors)
+        """True when every vector has a label record of its own."""
+        return not self.unlabeled
 
 
 def normalize(vec: Sequence[int]) -> tuple[tuple[int, ...], int]:
@@ -269,9 +282,7 @@ def _chain(basis: OrbitBasis, k: int) -> list[_Leaf]:
         try:
             leaves = _refine(leaves, jm_maps(j, basis), f"X({j})", _corner_contents)
         except NotInvariantError as exc:
-            raise InternalCheckError(
-                f"X({j}) failed to leave a chain eigenspace invariant"
-            ) from exc
+            raise InternalCheckError(f"X({j}) failed to leave a chain eigenspace invariant") from exc
         total = sum(leaf.space.dim for leaf in leaves if not leaf.remainder)
         if total != d:
             raise InternalCheckError(
@@ -307,19 +318,15 @@ def resolve(basis: OrbitBasis, state_ops: Sequence[Sequence[Sequence[int]]] | No
     invariant under it (operators after the first need not commute with
     the earlier ones); non-invariant operators are recorded as skipped.
     Every applied operator labels every leaf, so complete tables have one
-    state eigenvalue per applied operator on every vector.  Leaves that
-    stay degenerate are emitted as an orthogonalized basis tagged
-    "unlabeled", so the table is not ``complete``.
+    state eigenvalue per applied operator on every vector.  A leaf that
+    stays degenerate gives an orthogonalized basis whose vectors share its
+    label record: they are ``unlabeled``, and the table is not ``complete``.
     """
     n = basis.degree
-    # a state operator that maps the orbit outside itself is refused
-    # before the chain runs
-    if state_ops:
-        ops_queue = [normalize_state_pairs(op, basis) for op in state_ops]
-        auto = False
-    else:
-        ops_queue = default_state_ops(basis)
-        auto = True
+    # an orbit-escaping state operator is refused before the chain runs
+    auto = not state_ops
+    ops_queue = (default_state_ops(basis) if auto
+                 else [normalize_state_pairs(op, basis) for op in state_ops])
     leaves = _chain(basis, n)
     applied: list[StateOp] = []
     skipped: list[StateOp] = []
@@ -346,10 +353,8 @@ def resolve(basis: OrbitBasis, state_ops: Sequence[Sequence[Sequence[int]]] | No
     for leaf in leaves:
         chain = LabelChain(nu(leaf), leaf.labels[n - 1:])
         # _gram_schmidt returns a single row as it is
-        tag = None if leaf.space.dim == 1 else "unlabeled"
         for row in _gram_schmidt(leaf.space.rows):
-            coeffs, norm_sq = normalize(row)
-            vectors.append(LabeledVector(chain, tag, coeffs, norm_sq))
+            vectors.append(LabeledVector(chain, *normalize(row)))
     return CGTable(
         basis=basis,
         vectors=tuple(vectors),
@@ -435,11 +440,11 @@ def verify_table(table: CGTable) -> VerifyReport:
     Checks unit norms and normalization conventions, pairwise
     orthogonality, every recorded eigen-equation, the telescoped
     chain-difference equations (the Jucys-Murphy consistency
-    (C(j) - C(j-1)) v = (nu_j - nu_{j-1}) v), completeness, block
-    structure on the adjacent transpositions (1 2), ..., (n-1 n), the
-    representation property of the orbit action and, when state operators
-    were applied, their commutation with the same transpositions.  An
-    honestly flagged incomplete table yields a warning, not a failure.
+    (C(j) - C(j-1)) v = (nu_j - nu_{j-1}) v), completeness (one vector per
+    ket, none sharing its label record), block structure on the adjacent
+    transpositions (1 2), ..., (n-1 n), the representation property of the
+    orbit action and, when state operators were applied, their commutation
+    with the same transpositions.  An incomplete table warns, not fails.
 
     Orthogonality is read off the spectrum.  Every recorded operator is a
     sum of ket maps; when each map is an involution the operator is a
@@ -501,15 +506,10 @@ def verify_table(table: CGTable) -> VerifyReport:
         sigma[s] == t
         for maps in x_maps + op_maps for sigma in maps for t, s in enumerate(sigma)
     )
-    groups: dict[tuple, list[int]] = {}
-    for i, v in enumerate(vecs):
-        if i not in loose:
-            groups.setdefault((v.chain.nu, v.chain.state_labels), []).append(i)
     bad_pairs = []
     for i, v in enumerate(vecs):
         if symmetric and i not in loose:
-            mates = groups[v.chain.nu, v.chain.state_labels]
-            partners = sorted(j for j in loose.union(mates) if j > i)
+            partners = sorted(j for j in loose.union(table.records[v.chain]) if j > i)
         else:
             partners = range(i + 1, len(vecs))
         bad_pairs.extend((i, j) for j in partners if _dot(v.coeffs, vecs[j].coeffs))
@@ -521,10 +521,9 @@ def verify_table(table: CGTable) -> VerifyReport:
     elif table.complete:
         completeness = Check("completeness", "PASS")
     else:
-        unlabeled = sum(1 for v in vecs if v.tag is not None)
         completeness = Check(
             "completeness", "WARN",
-            f"{unlabeled} of {len(vecs)} vectors left unlabeled (flagged residue)")
+            f"{len(table.unlabeled)} of {len(vecs)} vectors left unlabeled (flagged residue)")
 
     generators = [transposition(a, a + 1, n) for a in range(1, n)]
     s_maps = element_maps(generators, basis)

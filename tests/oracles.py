@@ -24,6 +24,7 @@ permutations, and content sums of shapes) serve only the tests as well.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -406,8 +407,9 @@ def verify_table_reference(table) -> VerifyReport:
     products for orthogonality, every C(k) applied term by term instead
     of as prefix sums of Jucys-Murphy images, the block check by
     block_structure_reference, the representation property as
-    M(s_a)M(s_b) = M(s_a s_b) on maps of composed generators, and the
-    state-particle commutation on the configuration words themselves."""
+    M(s_a)M(s_b) = M(s_a s_b) on maps of composed generators, the
+    state-particle commutation on the configuration words themselves, and
+    completeness by its own count of shared label records."""
     basis = table.basis
     n = basis.degree
     d = len(basis)
@@ -495,7 +497,8 @@ def verify_table_reference(table) -> VerifyReport:
               "" if not jm_failures else f"failed differences {jm_failures[:5]}")
     )
 
-    unlabeled = sum(1 for v in vecs if v.tag is not None)
+    records = Counter((v.chain.nu, v.chain.state_labels) for v in vecs)
+    unlabeled = sum(1 for v in vecs if records[v.chain.nu, v.chain.state_labels] > 1)
     if len(vecs) != d:
         checks.append(
             Check("completeness", "FAIL",

@@ -233,6 +233,14 @@ def test_eigenvalues_rejects_bad_k(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("k", ["1", "2"])
+def test_eigenvalues_refuses_a_one_particle_word(k, capsys):
+    code, out, err = run_cli(["eigenvalues", "--config", "a", "--k", k], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: eigenvalues needs at least 2 particles, the configuration has 1\n"
+
+
 def test_verify_passes_small(capsys):
     code, out, err = run_cli(["verify", "--config", "abc"], capsys)
     assert code == 0
@@ -300,6 +308,19 @@ def test_orbit_escaping_state_op_exits_one(capsys):
     code, out, err = run_cli(["basis", "--config", "aab", "--state-ops", "(a b)"], capsys)
     assert code == 1
     assert "does not preserve the orbit" in err
+
+
+@pytest.mark.parametrize("command", ["basis", "verify"])
+def test_verbose_refuses_a_bad_state_op_before_any_dump(command, capsys):
+    code, out, err = run_cli(
+        [command, "--config", "aab", "--state-ops", "(a b)", "--verbose"], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: state swap (a b) does not preserve the orbit: "
+        "multiplicity of a is 2 but multiplicity of b is 1\n"
+    )
 
 
 def test_bad_config_label_exits_one(capsys):

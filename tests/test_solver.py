@@ -1,6 +1,7 @@
 import random
+import re
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -34,8 +35,8 @@ from oracles import (
 def chains_to_vectors(table):
     return {
         (v.chain.nu, v.chain.state_labels): (v.coeffs, v.norm_sq)
-        for v in table.vectors
-        if v.tag is None
+        for i, v in enumerate(table.vectors)
+        if i not in table.unlabeled
     }
 
 
@@ -115,6 +116,22 @@ def test_orbit_escaping_state_op_is_refused_before_the_chain(monkeypatch):
         resolve(make_basis("aab"), [[(0, 1)]])
 
 
+@pytest.mark.parametrize("pair", [
+    pytest.param((0, 1, 2), id="three-indices"),
+    pytest.param((0,), id="one-index"),
+    pytest.param(("a", "b"), id="labels-not-indices"),
+    pytest.param((0, 1.0), id="float-index"),
+    pytest.param((True, 2), id="bool-index"),
+])
+def test_a_malformed_state_pair_is_refused_with_value_error(pair):
+    message = f"state transposition {pair!r} is not a pair of alphabet indices"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        resolve(make_basis("abc"), [[pair]])
+    table = resolve(make_basis("abc"))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        replace(table, state_ops=((pair,),))
+
+
 def test_default_state_ops_policy():
     assert default_state_ops(make_basis("abc")) == [((0, 1),), ((0, 2),), ((1, 2),)]
     assert default_state_ops(make_basis("aabc")) == [((1, 2),)]
@@ -153,6 +170,58 @@ def test_tableau_is_decoded_from_the_chain():
             assert v.tableau == tableau_from_chain(v.chain.nu)
 
 
+def test_a_vector_stores_no_tag():
+    # whether a vector is labeled is read off the table's records
+    v = resolve(make_basis("ab")).vectors[0]
+    assert [f.name for f in fields(v)] == ["chain", "coeffs", "norm_sq"]
+    with pytest.raises(TypeError):
+        replace(v, tag=None)
+
+
+# a subset of words x state-operator lists: the default policy, single and
+# chained swaps, a skipped operator, and the path sum whose irrational
+# remainder leaves keep their parent's shorter record
+SWEEP_OPS = [
+    None,
+    [[(0, 1)]],
+    [[(0, 1), (1, 2), (2, 3)]],
+    [[(0, 1)], [(0, 1), (0, 2), (1, 2)]],
+    [[(0, 2)]],
+    [[(0, 1), (2, 3)], [(0, 2)]],
+    [[(1, 2)], [(0, 1)]],
+]
+SWEEP = [
+    pytest.param(word, ops, id=f"{word}-{k}")
+    for word in ["a", "ab", "aab", "abc", "aabc", "abcd", "aabb", "aabbc", "aaabbc", "abcde", "aabbcc"]
+    for k, ops in enumerate(SWEEP_OPS)
+    # every operator must swap two states of equal multiplicity in the word
+    if ops is None or all(
+        t < len(set(word)) and word.count("abcde"[s]) == word.count("abcde"[t])
+        for op in ops for s, t in op
+    )
+]
+
+
+@pytest.mark.parametrize("word, ops", SWEEP)
+def test_a_vector_is_unlabeled_exactly_when_its_record_is_shared(word, ops, monkeypatch):
+    # resolve emits one orthogonalized row per vector of a leaf; a vector
+    # whose leaf has more than one dimension is a degeneracy left unlifted
+    leaf_dims = []
+    real = solver._gram_schmidt
+
+    def recorded(rows):
+        leaf_dims.extend([len(rows)] * len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(solver, "_gram_schmidt", recorded)
+    table = resolve(make_basis(word), ops)
+    records = Counter(v.chain for v in table.vectors)
+    assert len(leaf_dims) == len(table.vectors)
+    for i, (v, dim) in enumerate(zip(table.vectors, leaf_dims)):
+        assert (i in table.unlabeled) == (records[v.chain] > 1) == (dim > 1)
+    assert table.complete == (not table.unlabeled)
+
+
 def test_resolve_deterministic():
     for cfg in ["aab", "abc", "aabc"]:
         a = resolve(make_basis(cfg))
@@ -189,7 +258,7 @@ def test_verify_catches_corrupted_coefficient():
         basis=table.basis,
         vectors=(
             table.vectors[0],
-            LabeledVector(v.chain, v.tag, broken_coeffs, sum(c * c for c in broken_coeffs)),
+            LabeledVector(v.chain, broken_coeffs, sum(c * c for c in broken_coeffs)),
             table.vectors[2],
         ),
         state_ops=table.state_ops,
@@ -262,9 +331,10 @@ def test_multi_transposition_operator_with_irrational_remainder():
     basis = make_basis("abcd")
     table = resolve(basis, [[(0, 1), (1, 2), (2, 3)]])
     assert not table.complete
-    labels = {v.chain.state_labels for v in table.vectors if v.tag is None}
+    labeled = [v for i, v in enumerate(table.vectors) if i not in table.unlabeled]
+    labels = {v.chain.state_labels for v in labeled}
     assert labels and all(len(rec) == 1 for rec in labels)
-    remainder = [v for v in table.vectors if v.tag == "unlabeled"]
+    remainder = [table.vectors[i] for i in table.unlabeled]
     # remainder leaves stop accumulating labels where the spectrum left Z
     assert remainder and all(len(v.chain.state_labels) <= 1 for v in remainder)
     report = verify_table(table)
@@ -273,10 +343,9 @@ def test_multi_transposition_operator_with_irrational_remainder():
     from symadapt.operators import state_maps
 
     maps = state_maps([(0, 1), (1, 2), (2, 3)], basis)
-    for v in table.vectors:
-        if v.tag is None:
-            lab = v.chain.state_labels[0]
-            assert apply_maps(maps, v.coeffs) == [lab * c for c in v.coeffs]
+    for v in labeled:
+        lab = v.chain.state_labels[0]
+        assert apply_maps(maps, v.coeffs) == [lab * c for c in v.coeffs]
 
 
 def test_leaves_are_canonical_and_remainders_match_intersect():

@@ -137,6 +137,26 @@ def test_swapped_labels_fail_the_eigen_equations():
     assert block_structure_check(broken, GENERATORS) == _outside("(2 3)", 8)
 
 
+@pytest.mark.parametrize("config, complete", [("aaabbc", False), ("aab", True)])
+def test_a_duplicated_vector_shares_its_record_so_the_table_is_not_complete(config, complete):
+    # completeness is read off the label records: a copy of vector 0 shares
+    # its record, so even a table that was complete before is not after
+    table = _table(config)
+    assert table.complete == complete
+    broken = replace(table, vectors=table.vectors + (table.vectors[0],))
+    assert not broken.complete and broken.unlabeled >= {0, len(table.vectors)}
+    d = len(table.vectors)
+    assert verify_table(broken).lines() == [
+        "PASS unit_norm",
+        f"FAIL orthogonality: non-orthogonal pairs [(0, {d})]",
+        "PASS eigen_equations",
+        "PASS jucys_murphy",
+        f"FAIL completeness: {d + 1} vectors for orbit size {d}; complete flag False",
+        "FAIL block_structure: (1 2) maps vector 0 outside its (shape, state-label) block",
+        REPRESENTATION,
+    ]
+
+
 def test_pack_unpack_round_trip_at_the_digit_bounds():
     for w in (2, 3, 8, 17, 64):
         top = (1 << (w - 1)) - 1
