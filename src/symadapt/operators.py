@@ -53,10 +53,13 @@ def class_maps(k: int, basis: OrbitBasis) -> list[tuple[int, ...]]:
 def normalize_state_pairs(pairs: Sequence[Sequence[int]], basis: OrbitBasis) -> tuple[StatePair, ...]:
     """Validate a list of alphabet transpositions against the orbit.
 
-    Each pair must be two int alphabet indices naming distinct states of
-    equal multiplicity in the configuration, otherwise the state swap would
-    map the orbit outside itself; anything else raises ValueError.
+    The list must be nonempty, and each pair two int alphabet indices
+    naming distinct states of equal multiplicity in the configuration,
+    otherwise the state swap would map the orbit outside itself; anything
+    else raises ValueError.
     """
+    if not pairs:
+        raise ValueError("a state operator needs at least one state transposition")
     labels = basis.alphabet.labels
     mults = basis.multiplicities()
     out = []

@@ -15,6 +15,11 @@ k adds (Okounkov-Vershik), so its split tries only the contents of the
 addable corners; the dimension count after each split proves that none
 was missed.  C(k) = X(2) + ... + X(k) is the class sum of S_k, so a
 leaf's chain label nu_k is the sum of its first k box contents.
+
+verify_table() certifies the chain without applying any X(k): each
+adjacent transposition s_a must act on every vector by Young's orthogonal
+form, which by induction on a gives every X(k) and C(k) eigen-equation
+and keeps every (shape, state-label) block.
 """
 from __future__ import annotations
 
@@ -389,43 +394,12 @@ def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(map(mul, a, b))
 
 
-def _pack_columns(rows: Sequence[Sequence[int]], w: int) -> list[int]:
-    """Kronecker-pack integer rows column by column:
-    packed[t] = sum_r rows[r][t] * 2**(w*r), with missing entries read as 0.
-
-    For any vector u, sum(map(mul, u, packed)) is then sum_r (u . rows[r])
-    * 2**(w*r): one pass gives every dot product as a base-2**w digit,
-    and _unpack reads them back when each is below 2**(w-1) in absolute
-    value.
-    """
-    packed = [0] * max(map(len, rows), default=0)
-    for r, row in enumerate(rows):
-        shift = w * r
-        for t, c in enumerate(row):
-            if c:
-                packed[t] += c << shift
-    return packed
-
-
-def _unpack(x: int, w: int, count: int) -> list[int]:
-    """The ``count`` balanced base-2**w digits of x, lowest first (each in
-    [-2**(w-1), 2**(w-1))); see _pack_columns."""
-    mask = (1 << w) - 1
-    half = 1 << (w - 1)
-    digits = []
-    for _ in range(count):
-        digit = x & mask
-        if digit >= half:
-            digit -= 1 << w
-        digits.append(digit)
-        x = (x - digit) >> w
-    return digits
-
-
-def _width(norms: Sequence[int]) -> int:
-    """Digit width for packed dot products of vectors with these sums of
-    squares: by Cauchy-Schwarz |u . v| <= max(norms) < 2**(w-1)."""
-    return max(norms, default=0).bit_length() + 2
+def _inverse(sigma: Sequence[int]) -> list[int]:
+    """The inverse of a ket map: inv[sigma[j]] = j."""
+    inv = [0] * len(sigma)
+    for j, t in enumerate(sigma):
+        inv[t] = j
+    return inv
 
 
 def _verdict(name: str, bad, detail: str) -> Check:
@@ -433,40 +407,85 @@ def _verdict(name: str, bad, detail: str) -> Check:
     return Check(name, "FAIL", detail) if bad else Check(name, "PASS")
 
 
+def _failed_relations(table: CGTable, s_maps: Sequence[tuple[int, ...]]) -> list[tuple[int, int]]:
+    """The (vector, a) pairs that break Young's orthogonal form for
+    s_a = (a a+1), whose ket map is s_maps[a - 1]; see verify_table."""
+    vecs = table.vectors
+    n = table.basis.degree
+    # per record: its nonzero vectors g, each weighted by L / (g . g), and L
+    groups = {}
+    for chain, mates in table.records.items():
+        squares = [(vecs[b].coeffs, _dot(vecs[b].coeffs, vecs[b].coeffs)) for b in mates]
+        big = lcm(*(sq for _, sq in squares if sq))
+        groups[chain] = [(g, big // sq) for g, sq in squares if sq], big
+    inverses = [_inverse(sigma) for sigma in s_maps]
+    failed = []
+    for i, v in enumerate(vecs):
+        nu, coeffs = v.chain.nu, v.coeffs
+        sums = (0, *reversed(nu))  # nu_1, ..., nu_n
+        contents = [q - p for p, q in zip((0, *sums), sums)]  # c_1, ..., c_n
+        for a, inv in enumerate(inverses, start=1):
+            r = contents[a] - contents[a - 1]
+            # s_a(c)[t] = c[inv[t]]
+            u = [r * coeffs[s] - x for s, x in zip(inv, coeffs)]
+            if abs(r) == 1:
+                held = not any(u)
+            else:
+                # s_a T's chain: nu_a becomes nu_a + r, at position n - a
+                partner = LabelChain(nu[:n - a] + (nu[n - a] + r,) + nu[n - a + 1:],
+                                     v.chain.state_labels)
+                mates, big = groups.get(partner, ((), 1))
+                held = sum(_dot(u, g) ** 2 * w for g, w in mates) == _dot(u, u) * big
+            if not held:
+                failed.append((i, a))
+    return failed
+
+
 def verify_table(table: CGTable) -> VerifyReport:
     """Exact self-verification of a resolved table: the whole suite of
     `symadapt verify`.
 
-    Checks unit norms and normalization conventions, pairwise
-    orthogonality, every recorded eigen-equation, the telescoped
-    chain-difference equations (the Jucys-Murphy consistency
-    (C(j) - C(j-1)) v = (nu_j - nu_{j-1}) v), completeness (one vector per
-    ket, none sharing its label record), block structure on the adjacent
-    transpositions (1 2), ..., (n-1 n), the representation property of the
-    orbit action and, when state operators were applied, their commutation
-    with the same transpositions.  An incomplete table warns, not fails.
+    Checks, in order: unit norms and normalization conventions, pairwise
+    orthogonality, the recorded state-operator eigen-equations,
+    completeness (one vector per ket, none sharing its label record; an
+    incomplete table warns), Young's orthogonal form on s_a = (a a+1),
+    the representation property of the orbit action and, with state
+    operators, their commutation with every s_a.
 
-    Orthogonality is read off the spectrum.  Every recorded operator is a
-    sum of ket maps; when each map is an involution the operator is a
-    symmetric matrix, so two vectors that satisfy their eigen-equations
-    with different (nu, state_labels) records are orthogonal.  A pair is
-    therefore dotted only if the records are equal or one vector is not
-    fully verified (it fails unit_norm or an eigen-equation, or has a
-    short label record, as remainder leaves do); every pair is dotted if
-    some map is not an involution.  The Jucys-Murphy images
-    X_j v = sum_{i<j} (i j) v are computed once per vector, and C(k) v is
-    their prefix sum over j <= k, since C(k) = X_2 + ... + X_k.
+    Young's orthogonal form (Okounkov-Vershik) sends c_T to c_T / r plus a
+    multiple of c_{s_a T}, with r = c_{a+1} - c_a the axial distance of
+    T's box contents.  So u = r s_a(c) - c, in integers, must be 0 when
+    |r| = 1 (s_a T is not standard), and otherwise lie in the span of the
+    record with nu_a replaced by nu_a + r and the same state labels: the
+    Bessel equality sum_g (u . g)^2 L / (g . g) = (u . u) L over that
+    record's nonzero vectors g (L the lcm of the g . g; orthogonality
+    dots them pairwise), which an empty record reads as u = 0.
 
-    The adjacent transpositions s_a generate S_n, and their maps define a
-    representation of S_n exactly when they satisfy the Coxeter relations
-    (s_a s_b)^m = 1, with m = 1, 3 or 2 for b = a, a + 1 or farther; a
-    block or a commutation that holds for them then holds for every
-    element.
+    Why this replaces the C(k) eigen-equations and the generator block
+    check: say every s_a map is an involution and every vector passes.
+    X(2) = s_1 and c_2 = r = +-1, so X(2) c = c_2 c.  If X(a) c = c_a c
+    for every vector, X(a+1) = s_a X(a) s_a + s_a gives X(a+1) c =
+    c_{a+1} c: for |r| = 1 from s_a c = r c, for |r| >= 2 from
+    s_a c = (c + u) / r, X(a) u = c_{a+1} u and s_a^2 = 1.  So every X(j),
+    and so every C(k) = X(2) + ... + X(k), has its recorded eigenvalue,
+    and s_a keeps each (shape, state-label) block.
+
+    Orthogonality is read off the spectrum: with every map an involution
+    the operators are symmetric, so vectors that pass unit_norm,
+    eigen_equations and young_orthogonal_form with different records are
+    orthogonal, and only record mates and short-record vectors (remainder
+    leaves) are dotted.  Otherwise, or when a dot taken is not 0 (Bessel
+    proves membership only over orthogonal mates), every pair is dotted.
+    The maps of the s_a define a representation of S_n exactly when they
+    satisfy the Coxeter relations (s_a s_b)^m = 1, m = 1, 3 or 2 for
+    b = a, a + 1 or farther; what holds for the generators then holds for
+    every element.
     """
     basis = table.basis
     n = basis.degree
     d = len(basis)
     vecs = table.vectors
+    m = len(vecs)
 
     bad_norm = []
     for i, v in enumerate(vecs):
@@ -475,58 +494,44 @@ def verify_table(table: CGTable) -> VerifyReport:
                 or gcd(*v.coeffs) != 1 or lead <= 0):
             bad_norm.append(i)
 
-    failures = []
-    jm_failures = []
-    x_maps = [jm_maps(j, basis) for j in range(2, n + 1)]
     op_maps = [state_maps(op, basis) for op in table.state_ops]
-    for i, v in enumerate(vecs):
-        coeffs, nu = v.coeffs, v.chain.nu
-        # (C(j) - nu_j) v = sum of (X(k) - content_k) v over k <= j; None while zero
-        total = None
-        for j, maps in enumerate(x_maps, start=2):
-            content = nu[n - j] - (nu[n - j + 1] if j > 2 else 0)
-            residual = [a - content * c for a, c in zip(apply_maps(maps, coeffs), coeffs)]
-            if any(residual):
-                jm_failures.append((i, j))
-                total = residual if total is None else [a + b for a, b in zip(total, residual)]
-                if not any(total):
-                    total = None
-            if total is not None:
-                failures.append((i, f"C({j})"))
-        for idx, (lab, maps) in enumerate(zip(v.chain.state_labels, op_maps)):
-            if apply_maps(maps, coeffs) != [lab * c for c in coeffs]:
-                failures.append((i, f"state op {idx}"))
+    failures = [
+        (i, f"state op {idx}")
+        for i, v in enumerate(vecs)
+        for idx, (lab, maps) in enumerate(zip(v.chain.state_labels, op_maps))
+        if apply_maps(maps, v.coeffs) != [lab * c for c in v.coeffs]
+    ]
+    generators = [transposition(a, a + 1, n) for a in range(1, n)]
+    s_maps = element_maps(generators, basis)
+    relations = [(i, str(generators[a - 1])) for i, a in _failed_relations(table, s_maps)]
 
-    # the C(j) equations imply the X(j) ones, so failures names every
-    # vector that fails an eigen-equation
-    loose = set(bad_norm).union(i for i, _ in failures).union(
-        i for i, v in enumerate(vecs) if len(v.chain.state_labels) < len(op_maps)
-    )
-    symmetric = all(
-        sigma[s] == t
-        for maps in x_maps + op_maps for sigma in maps for t, s in enumerate(sigma)
+    def nonorthogonal(partners) -> list[tuple[int, int]]:
+        return [(i, j) for i in range(m) for j in partners(i)
+                if _dot(vecs[i].coeffs, vecs[j].coeffs)]
+
+    short = {i for i, v in enumerate(vecs) if len(v.chain.state_labels) < len(op_maps)}
+    spectral = not (bad_norm or failures or relations) and all(
+        sigma[s] == t for maps in [s_maps, *op_maps] for sigma in maps for t, s in enumerate(sigma)
     )
     bad_pairs = []
-    for i, v in enumerate(vecs):
-        if symmetric and i not in loose:
-            partners = sorted(j for j in loose.union(table.records[v.chain]) if j > i)
-        else:
-            partners = range(i + 1, len(vecs))
-        bad_pairs.extend((i, j) for j in partners if _dot(v.coeffs, vecs[j].coeffs))
+    if spectral:
+        bad_pairs = nonorthogonal(
+            lambda i: range(i + 1, m) if i in short
+            else sorted(j for j in short.union(table.records[vecs[i].chain]) if j > i))
+    if bad_pairs or not spectral:
+        bad_pairs = nonorthogonal(lambda i: range(i + 1, m))
 
-    if len(vecs) != d:
+    if m != d:
         completeness = Check(
             "completeness", "FAIL",
-            f"{len(vecs)} vectors for orbit size {d}; complete flag {table.complete}")
+            f"{m} vectors for orbit size {d}; complete flag {table.complete}")
     elif table.complete:
         completeness = Check("completeness", "PASS")
     else:
         completeness = Check(
             "completeness", "WARN",
-            f"{len(table.unlabeled)} of {len(vecs)} vectors left unlabeled (flagged residue)")
+            f"{len(table.unlabeled)} of {m} vectors left unlabeled (flagged residue)")
 
-    generators = [transposition(a, a + 1, n) for a in range(1, n)]
-    s_maps = element_maps(generators, basis)
     broken = []
     for a, sa in enumerate(s_maps):
         for b in range(a, n - 1):
@@ -540,9 +545,8 @@ def verify_table(table: CGTable) -> VerifyReport:
         _verdict("unit_norm", bad_norm, f"vectors {bad_norm} break the normalization contract"),
         _verdict("orthogonality", bad_pairs, f"non-orthogonal pairs {bad_pairs[:5]}"),
         _verdict("eigen_equations", failures, f"failed equations {failures[:5]}"),
-        _verdict("jucys_murphy", jm_failures, f"failed differences {jm_failures[:5]}"),
         completeness,
-        block_structure_check(table, generators),
+        _verdict("young_orthogonal_form", relations, f"failed relations {relations[:5]}"),
         _verdict("representation_property", broken,
                  f"generator maps break (s_a s_b)^m = 1 for {broken}"),
     ]
@@ -560,18 +564,14 @@ def verify_table(table: CGTable) -> VerifyReport:
 def block_structure_check(table: CGTable, elements: Sequence[Permutation]) -> Check:
     """Every group element must act block-diagonally on the resolved basis:
     no matrix element may connect vectors of different shapes or different
-    state-label records.
+    state-label records.  A standalone check: verify_table does not call
+    it, since its Young relations keep each block under the generators.
 
-    For each transformed vector the exact Parseval identity over its own
-    block is asserted; for small tables every cross-block entry is also
-    checked to be zero directly.
-
-    Each block's columns are packed once (see _pack_columns) with digit
-    width w = bit_length(max sum c^2 in the block) + 2, so one pass of the
-    transformed vector over the pack gives all of its dot products with
-    the block.  The Parseval identity sum_b (g v . v_b)^2 / n_b = n_v is
-    checked in integers, multiplied through by L = lcm of the block's
-    norms n_b, so a vector whose norm_sq is not positive fails at once.
+    For each transformed vector g v the exact Parseval identity over its
+    own block, sum_b (g v . v_b)^2 / n_b = n_v, is asserted in integers,
+    multiplied through by L = lcm of the block's norms n_b, so a vector
+    whose norm_sq is not positive fails at once; for tables of at most 32
+    kets every cross-block entry is also checked to be zero directly.
     """
     vecs = table.vectors
     d = len(table.basis)
@@ -583,24 +583,17 @@ def block_structure_check(table: CGTable, elements: Sequence[Permutation]) -> Ch
                          f"vector {i} has norm_sq {v.norm_sq}, so no Parseval sum holds")
         keys.append((v.tableau.shape, v.chain.state_labels))
         groups.setdefault(keys[i], []).append(i)
-    blocks = {}
-    for key, mates in groups.items():
-        coeffs = [vecs[b].coeffs for b in mates]
-        w = _width([_dot(c, c) for c in coeffs])
-        big = lcm(*(vecs[b].norm_sq for b in mates))
-        weights = [big // vecs[b].norm_sq for b in mates]
-        blocks[key] = (mates, _pack_columns(coeffs, w), w, big, weights)
+    blocks = {key: (mates, lcm(*(vecs[b].norm_sq for b in mates))) for key, mates in groups.items()}
     direct = d <= 32
     for g, sigma in zip(elements, element_maps(elements, table.basis)):
-        sigma_inv = [0] * d
-        for j, t in enumerate(sigma):
-            sigma_inv[t] = j
+        sigma_inv = _inverse(sigma)
         for i, v in enumerate(vecs):
             # image[sigma[j]] = coeffs[j]
             image = [v.coeffs[j] for j in sigma_inv]
-            mates, packed, w, big, weights = blocks[keys[i]]
-            dots = _unpack(_dot(image, packed), w, len(mates))
-            if sum(x * x * wt for x, wt in zip(dots, weights)) != v.norm_sq * big:
+            mates, big = blocks[keys[i]]
+            projected = sum(_dot(image, vecs[b].coeffs) ** 2 * (big // vecs[b].norm_sq)
+                            for b in mates)
+            if projected != v.norm_sq * big:
                 return Check(
                     "block_structure", "FAIL",
                     f"{g} maps vector {i} outside its (shape, state-label) block",

@@ -3,11 +3,13 @@
 The oracles recompute results by a route the package never takes: full
 n! enumeration instead of generator closure, backtracking tableau fills
 instead of corner growth, spectral projection products instead of kernel
-extraction, semistandard fillings for multiplicities, the all-pairs
-dot-product and Fraction Parseval checks instead of spectral
-orthogonality and packed block sums, maps of composed permutations
-instead of Coxeter relations, and dense C(k) eigenspaces instead of the
-Jucys-Murphy chain's leaves.
+extraction, semistandard fillings for multiplicities, all-pairs dot
+products instead of spectral orthogonality, tableau entry swaps and
+Fraction Bessel sums instead of chain arithmetic for Young's orthogonal
+form, Fraction Parseval sums instead of integer block sums, C(k) and X(j)
+applied term by term, maps of composed permutations instead of Coxeter
+relations, and dense C(k) eigenspaces instead of the Jucys-Murphy
+chain's leaves.
 
 The dense representation lives here too.  The package holds every
 operator as ket maps and every subspace as integer rows; the tests check
@@ -75,8 +77,9 @@ def class_operator(k: int, basis):
 
 
 def state_operator(pairs, basis):
-    """Dense matrix of a sum of state transpositions (zero for no pairs)."""
-    return maps_to_matrix(state_maps(pairs, basis), len(basis))
+    """Dense matrix of a sum of state transpositions (zero for no pairs,
+    which the package refuses as a state operator)."""
+    return maps_to_matrix(state_maps(pairs, basis) if pairs else [], len(basis))
 
 
 def eigenspace(matrix, nu: int) -> Subspace:
@@ -402,11 +405,88 @@ def _apply_maps(maps, vec) -> list:
     return out
 
 
+def _tableau_chains(n: int) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Every standard tableau of n boxes, keyed by its chain (nu_n, ...,
+    nu_2), where nu_k sums the contents of the boxes holding 1..k."""
+    out = {}
+    for shape in partitions_of(n):
+        for rows in standard_tableaux(shape):
+            content = {x: c - r for r, row in enumerate(rows) for c, x in enumerate(row)}
+            out[tuple(sum(content[x] for x in range(1, k + 1)) for k in range(n, 1, -1))] = rows
+    return out
+
+
+def _is_standard(rows) -> bool:
+    return all(a < b for row in rows for a, b in zip(row, row[1:])) and all(
+        upper[c] < lower[c] for upper, lower in zip(rows, rows[1:]) for c in range(len(lower))
+    )
+
+
+def young_relation_failures(table) -> list[tuple[int, str]]:
+    """The (vector, "(a a+1)") pairs that break Young's orthogonal form,
+    found by swapping the entries a and a+1 of each vector's enumerated
+    tableau: u = r s_a(c) - c must be 0 when the swap is not standard, and
+    otherwise pass the Fraction Bessel sum over the nonzero vectors that
+    hold the swapped tableau's chain and the same state labels."""
+    basis = table.basis
+    n = basis.degree
+    d = len(basis)
+    vecs = table.vectors
+    tableaux = _tableau_chains(n)
+    chain_of = {rows: nu for nu, rows in tableaux.items()}
+    generators = [transposition(a, a + 1, n) for a in range(1, n)]
+    sigmas = [ket_map(g, basis) for g in generators]
+    failures = []
+    for i, v in enumerate(vecs):
+        rows = tableaux[v.chain.nu]
+        where = {x: (r, c) for r, row in enumerate(rows) for c, x in enumerate(row)}
+        for a, s_a, sigma in zip(range(1, n), generators, sigmas):
+            image = [0] * d
+            for j, x in enumerate(v.coeffs):
+                image[sigma[j]] = x
+            (ra, ca), (rb, cb) = where[a], where[a + 1]
+            r = (cb - rb) - (ca - ra)
+            u = [r * y - x for x, y in zip(v.coeffs, image)]
+            swapped = tuple(tuple({a: a + 1, a + 1: a}.get(x, x) for x in row) for row in rows)
+            if _is_standard(swapped):
+                partner = chain_of[swapped]
+                group = [w.coeffs for w in vecs
+                         if (w.chain.nu, w.chain.state_labels) == (partner, v.chain.state_labels)
+                         and any(w.coeffs)]
+                held = sum(Fraction(_dot(u, g) ** 2, _dot(g, g)) for g in group) == _dot(u, u)
+            else:
+                held = not any(u)
+            if not held:
+                failures.append((i, str(s_a)))
+    return failures
+
+
+def chain_equation_failures(table) -> list[tuple[int, str]]:
+    """Every (vector, operator) pair whose chain eigen-equation fails, term
+    by term: C(k) as the sum of the transpositions of S_k with eigenvalue
+    nu_k, and X(j) = (1 j) + ... + (j-1 j) with eigenvalue the content
+    nu_j - nu_{j-1}."""
+    basis = table.basis
+    n = basis.degree
+    failures = []
+    for i, v in enumerate(table.vectors):
+        nu = v.chain.nu
+        for k in range(2, n + 1):
+            maps = element_maps(subgroup_transpositions(k, n), basis)
+            if _apply_maps(maps, v.coeffs) != [nu[n - k] * c for c in v.coeffs]:
+                failures.append((i, f"C({k})"))
+        for j in range(2, n + 1):
+            maps = element_maps([transposition(p, j, n) for p in range(1, j)], basis)
+            content = nu[n - j] - (nu[n - j + 1] if j > 2 else 0)
+            if _apply_maps(maps, v.coeffs) != [content * c for c in v.coeffs]:
+                failures.append((i, f"X({j})"))
+    return failures
+
+
 def verify_table_reference(table) -> VerifyReport:
     """symadapt.solver.verify_table by the direct route: all-pairs dot
-    products for orthogonality, every C(k) applied term by term instead
-    of as prefix sums of Jucys-Murphy images, the block check by
-    block_structure_reference, the representation property as
+    products for orthogonality, Young's orthogonal form by
+    young_relation_failures, the representation property as
     M(s_a)M(s_b) = M(s_a s_b) on maps of composed generators, the
     state-particle commutation on the configuration words themselves, and
     completeness by its own count of shared label records."""
@@ -447,54 +527,14 @@ def verify_table_reference(table) -> VerifyReport:
     )
 
     failures = []
-    chain_maps = {
-        k: element_maps(subgroup_transpositions(k, n), basis) for k in range(2, n + 1)
-    }
-    op_maps = []
-    for op in table.state_ops:
-        try:
-            op_maps.append(state_maps(op, basis))
-        except ValueError:  # the operator maps the orbit outside itself
-            op_maps.append(None)
-
-    def malformed(v) -> bool:
-        return (len(v.coeffs) != d or len(v.chain.nu) != n - 1
-                or len(v.chain.state_labels) > len(table.state_ops))
-
+    op_maps = [state_maps(op, basis) for op in table.state_ops]
     for i, v in enumerate(vecs):
-        if malformed(v):
-            failures.append((i, "malformed record"))
-            continue
-        for k in range(2, n + 1):
-            nu_k = v.chain.nu[n - k]
-            if _apply_maps(chain_maps[k], v.coeffs) != [nu_k * c for c in v.coeffs]:
-                failures.append((i, f"C({k})"))
         for idx, lab in enumerate(v.chain.state_labels):
-            maps = op_maps[idx]
-            if maps is None or _apply_maps(maps, v.coeffs) != [lab * c for c in v.coeffs]:
+            if _apply_maps(op_maps[idx], v.coeffs) != [lab * c for c in v.coeffs]:
                 failures.append((i, f"state op {idx}"))
     checks.append(
         Check("eigen_equations", "PASS" if not failures else "FAIL",
               "" if not failures else f"failed equations {failures[:5]}")
-    )
-
-    jm_failures = []
-    jm_maps = {
-        j: element_maps([transposition(i, j, n) for i in range(1, j)], basis)
-        for j in range(2, n + 1)
-    }
-    for i, v in enumerate(vecs):
-        if malformed(v):
-            continue
-        for j in range(2, n + 1):
-            nu_j = v.chain.nu[n - j]
-            nu_prev = v.chain.nu[n - j + 1] if j > 2 else 0
-            content = nu_j - nu_prev
-            if _apply_maps(jm_maps[j], v.coeffs) != [content * c for c in v.coeffs]:
-                jm_failures.append((i, j))
-    checks.append(
-        Check("jucys_murphy", "PASS" if not jm_failures else "FAIL",
-              "" if not jm_failures else f"failed differences {jm_failures[:5]}")
     )
 
     records = Counter((v.chain.nu, v.chain.state_labels) for v in vecs)
@@ -512,9 +552,13 @@ def verify_table_reference(table) -> VerifyReport:
                   f"{unlabeled} of {len(vecs)} vectors left unlabeled (flagged residue)")
         )
 
-    generators = [transposition(a, a + 1, n) for a in range(1, n)]
-    checks.append(block_structure_reference(table, generators))
+    relations = young_relation_failures(table)
+    checks.append(
+        Check("young_orthogonal_form", "PASS" if not relations else "FAIL",
+              "" if not relations else f"failed relations {relations[:5]}")
+    )
 
+    generators = [transposition(a, a + 1, n) for a in range(1, n)]
     s_maps = {g: ket_map(g, basis) for g in generators}
     bad = []
     for p in generators:

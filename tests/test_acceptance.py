@@ -96,7 +96,7 @@ def test_criterion_5_property_suite_n4_n5():
         report = verify_table(table)
         assert report.passed, (cfg, report.lines())
         statuses = {c.name: c.status for c in report.checks}
-        for name in ("unit_norm", "orthogonality", "eigen_equations", "jucys_murphy"):
+        for name in ("unit_norm", "orthogonality", "eigen_equations", "young_orthogonal_form"):
             assert statuses[name] == "PASS", (cfg, name)
         assert statuses["completeness"] in ("PASS", "WARN")
         if statuses["completeness"] == "WARN":

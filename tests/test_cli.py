@@ -5,10 +5,11 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
-from symadapt import operators, solver
+from symadapt import cli, operators
 from symadapt.cli import canonical_json, main, parse_state_ops
 from symadapt.configs import StateAlphabet
 
@@ -37,10 +38,11 @@ def test_parse_state_ops():
 
 
 # SHA-256 of `<subcommand> ... --format json` stdout.  The basis tables were
-# pinned from the rational-arithmetic solver, and the verify reports from the
-# all-pairs orthogonality and Fraction Parseval checks; the integer core, the
-# branching-rule candidates, the packed checks and the X(k) chain split must
-# reproduce them byte for byte
+# pinned from the rational-arithmetic solver; the integer core, the
+# branching-rule candidates and the X(k) chain split must reproduce them byte
+# for byte.  The verify reports were pinned again when the Young relations
+# replaced the jucys_murphy and block_structure checks: only those check
+# names changed, each verdict and exit code held
 STATE_OPS = ["--state-ops", "(a b)+(b c)+(a c),(a b)"]
 # (a c) does not leave the (a b)+(c d) eigenspaces invariant, so it is skipped
 SKIPPED_OP = ["--state-ops", "(a b)+(c d),(a c)"]
@@ -61,22 +63,22 @@ PINNED_JSON = [
                  "69ac0ee98ffcfe0b3ee48dc8ba1cd10aec9db5dc066a7ed7525f5eef99b6ab15",
                  id="aabbcc-state-ops"),
     pytest.param(["verify", "--config", "abcd"], 0,
-                 "392ba990ae8b9b7e1505bd8260302e6d7d20a199edcdca41b1e520b3cbe9116d",
+                 "9d927e4ec517784f8d54277543536c431927f3b6c9246d1c185ae0a0d48b8769",
                  id="verify-abcd"),
     pytest.param(["verify", "--config", "aabbcc"], 2,
-                 "eca3095882ae34987bdcc792ac9caf391501f367efb4bd1387a3f08bd8c7d100",
+                 "1413c7e8566584c91475f732964a7ef2b596e68b48de79870af43b91008f68bf",
                  id="verify-aabbcc"),
     pytest.param(["verify", "--config", "abcde"], 2,
-                 "a17355a84d6ebb8e7fdae72ff2d675dfdebdf9f28eea4900d3c4fcd1a5f6e4d2",
+                 "6ae623e5a8296002d1494d9177cd37f0cb10d36436230adbc470357911555a7f",
                  id="verify-abcde"),
     pytest.param(["verify", "--config", "aabbcd"], 2,
-                 "a821815b66a060dc3d2bd69af5e4dd6034fe53a4742896bddaf43ff87771c6ba",
+                 "1c75f33620ffd966a2dcbd2532fc2e7c63b875a95e80af1fcc5d1dbffaf6ac8f",
                  id="verify-aabbcd"),
     pytest.param(["verify", "--config", "aaaabbc"], 2,
-                 "9c92c11a7118736473fdd55aec1ba46d8c74e05e505c56385096696af1b43e33",
+                 "67b145a091c84cde7f26b0bf1affa0256b7eec5e64934c86f467cfacb22fd989",
                  id="verify-aaaabbc"),
     pytest.param(["verify", "--config", "aabbcc", *STATE_OPS], 0,
-                 "3bad0838e5f84249117cf18a5af56580ef109338c65444dba84bffa7a05c2cb1",
+                 "2e3e225830db6fb2da624ebdb77a761b7877763dc5bc7b6cdbe1774c5f8f5035",
                  id="verify-aabbcc-state-ops"),
     # a skipped state operator, the 280-ket largest chain-only word, and a
     # complete lift by a three-term state operator
@@ -90,7 +92,7 @@ PINNED_JSON = [
                  "a14946d25f14309cd5fb7796b9cc3233a08169e50fe738e6d3d0a5dda475cc50",
                  id="abcd-state-ops"),
     pytest.param(["verify", "--config", "abcd", *SKIPPED_OP], 2,
-                 "97db37d26449330e38dd05efe54e1489eff6024f04991aaf711d1e2c010104c4",
+                 "373c9201f900f0356652955fb79fb87f29b833df401c4e334d90f3dd43803575",
                  id="verify-abcd-skipped-op"),
     # spectra pinned from the dense C(k) kernels, now read off the X(k) chain
     pytest.param(["eigenvalues", "--config", "abcde", "--k", "5"], 0,
@@ -116,7 +118,8 @@ def test_basis_json_matches_pinned_digest(args, want_code, digest, capsys):
 
 
 # SHA-256 of the eigenvalues and verify stdout in the other two formats,
-# pinned before both commands shared one writer
+# pinned before both commands shared one writer (verify again with the
+# Young relations, as above)
 PINNED_TEXT_CSV = [
     pytest.param(["eigenvalues", "--config", "aabbcd", "--k", "6", "--format", "text"], 0,
                  "a7a1f9933102486d635adcf41945fc78eb2bb3cdeb49532cb522fbbb209ed09d",
@@ -125,16 +128,16 @@ PINNED_TEXT_CSV = [
                  "2600b04a8dc5dc10223c1ae06475d0e13191bc46d3328d22bf7aa47603fd926b",
                  id="eigenvalues-aabbcd-6-csv"),
     pytest.param(["verify", "--config", "abcd", "--format", "text"], 0,
-                 "4e8fb6ebb463fdc5eaeb7c4d53e1832b92de1a4b416d86ea56c4b9dd99292d58",
+                 "f23e3d0905c5db9ec4da46639e96e9316fca9ece445e6343253ab427cc59da4b",
                  id="verify-abcd-text"),
     pytest.param(["verify", "--config", "abcd", "--format", "csv"], 0,
-                 "70d68a8bbff4aceaaae7bbfef541d2b46d526eb9319366e11c00467ce980b4a9",
+                 "f47521e546daefcb0bc98bccf330685cd2b0a284401d732d2bdbfb7e21cf7dcd",
                  id="verify-abcd-csv"),
     pytest.param(["verify", "--config", "aabbcc", "--state-ops", "(a b)", "--format", "text"], 2,
-                 "5a7a1152a19c1b2522f2178ed0c01fc4173cddf0b8ef054a4c96650c86f0106c",
+                 "4a44de0123d58c82603e4a0caac6d975e8ff368799f3314db59405a7c48eed13",
                  id="verify-aabbcc-state-op-text"),
     pytest.param(["verify", "--config", "aabbcc", "--state-ops", "(a b)", "--format", "csv"], 2,
-                 "23d3638a67f7046db56fbff73c79b5413d048cd9f20886799fca204e355c17a0",
+                 "aa5dbce4f2c471f6287a0bd9aeaec0d06ee4c30cb02463d15d654aa0f4936d5b",
                  id="verify-aabbcc-state-op-csv"),
 ]
 
@@ -379,7 +382,7 @@ def test_verbose_stderr_matches_pinned_digest(args, want_code, digest, capsys):
     pytest.param(["basis", "--config", "aab", "--verbose"], 3, id="basis-aab-verbose"),
 ])
 def test_each_transposition_is_mapped_once_per_basis(args, want, monkeypatch, capsys):
-    # the chain, verify_table's X(j), the block, Coxeter and state-particle
+    # the chain, verify_table's Young, Coxeter and state-particle
     # commutation checks on the adjacent transpositions and the C(k) dumps
     # share one map per transposition
     calls = []
@@ -395,20 +398,24 @@ def test_each_transposition_is_mapped_once_per_basis(args, want, monkeypatch, ca
 
 
 @pytest.mark.parametrize("config", ["ab", "aabbcd", "abcde"])
-def test_verify_checks_block_structure_on_the_generators(config, monkeypatch, capsys):
-    # (1 2), ..., (n-1 n) generate S_n, so a block that holds for them
-    # holds for every element
-    seen = []
-    real = solver.block_structure_check
+def test_verify_fails_young_orthogonal_form_on_a_cross_block_mix(config, monkeypatch, capsys):
+    # vector 0 (shape (n)) plus the last vector (another shape) keeps vector
+    # 0's record, so (1 2) no longer fixes it as Young's orthogonal form says
+    real = cli.resolve
 
-    def recorded(table, elements):
-        seen.append([str(g) for g in elements])
-        return real(table, elements)
+    def mixed(basis, state_ops=None):
+        table = real(basis, state_ops)
+        first, last = table.vectors[0], table.vectors[-1]
+        assert first.tableau.shape != last.tableau.shape
+        coeffs = tuple(a + b for a, b in zip(first.coeffs, last.coeffs))
+        first = replace(first, coeffs=coeffs, norm_sq=sum(c * c for c in coeffs))
+        return replace(table, vectors=(first,) + table.vectors[1:])
 
-    monkeypatch.setattr(solver, "block_structure_check", recorded)
-    run_cli(["verify", "--config", config], capsys)
-    n = len(config)
-    assert seen == [[f"({i} {i + 1})" for i in range(1, n)]]
+    monkeypatch.setattr(cli, "resolve", mixed)
+    code, out, _ = run_cli(["verify", "--config", config], capsys)
+    assert code == 1
+    (line,) = [ln for ln in out.splitlines() if "young_orthogonal_form" in ln]
+    assert line.startswith("FAIL young_orthogonal_form: failed relations [(0, '(1 2)')")
 
 
 def test_eigenvalues_rejects_state_ops(capsys):

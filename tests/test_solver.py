@@ -132,6 +132,13 @@ def test_a_malformed_state_pair_is_refused_with_value_error(pair):
         replace(table, state_ops=((pair,),))
 
 
+def test_an_empty_state_operator_is_refused():
+    # it would record () as applied, label every vector 0, and keep the
+    # default swaps from running
+    with pytest.raises(ValueError, match="a state operator needs at least one state transposition"):
+        resolve(make_basis("abc"), [[]])
+
+
 def test_default_state_ops_policy():
     assert default_state_ops(make_basis("abc")) == [((0, 1),), ((0, 2),), ((1, 2),)]
     assert default_state_ops(make_basis("aabc")) == [((1, 2),)]
@@ -267,7 +274,8 @@ def test_verify_catches_corrupted_coefficient():
     report = verify_table(broken)
     assert not report.passed
     failed = {c.name for c in report.checks if c.status == "FAIL"}
-    assert "eigen_equations" in failed
+    # the chain's eigen-equations are certified by the Young relations
+    assert "young_orthogonal_form" in failed
 
 
 def test_verify_warns_on_honest_incomplete_table():
