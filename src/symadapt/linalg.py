@@ -7,8 +7,9 @@ zero in the pivot columns of the other rows.  That form is canonical, so
 subspace equality is plain structural equality.  Elimination runs
 fraction-free over Python integers with per-row gcd reduction; input and
 output are integers throughout.  Every canonical basis comes out of one
-elimination in kernel() (see there): a span is the kernel of its kernel,
-and an intersection the kernel of the stacked kernels.
+elimination: a kernel's in kernel() (see there), a span's in
+Subspace.from_rows, and an intersection is the kernel of the stacked
+kernels.
 """
 from __future__ import annotations
 
@@ -133,12 +134,20 @@ class Subspace:
 
     @classmethod
     def from_rows(cls, ambient: int, rows: Matrix) -> "Subspace":
-        """Span of arbitrary integer rows, canonicalized as the kernel of
-        their kernel: a span equals (span⊥)⊥."""
+        """Span of arbitrary integer rows, canonicalized by one elimination
+        of the rows themselves: zero rows drop out, and each pivot row is
+        divided by its gcd, signed so that its pivot is positive."""
         for row in rows:
             if len(row) != ambient:
                 raise ValueError(f"row length {len(row)} != ambient {ambient}")
-        return cls.from_kernel(ambient, kernel(kernel(rows, ambient), ambient))
+        red, pivots = _jordan([list(row) for row in rows])
+        out = []
+        for row, p in zip(red, pivots):
+            g = gcd(*row)
+            if row[p] < 0:
+                g = -g
+            out.append(tuple(a // g for a in row))
+        return cls(ambient, tuple(out), tuple(pivots))
 
     @classmethod
     def from_kernel(cls, ambient: int, rows: tuple[IntRow, ...]) -> "Subspace":

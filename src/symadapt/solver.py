@@ -4,11 +4,13 @@ resolve() splits the orbit space into joint integer eigenspaces of the
 Jucys-Murphy elements X(k) = (1 k) + ... + (k-1 k), k = 2..n, then lifts
 any remaining multiplicity with state-permutation operators; one routine,
 _refine, applies every operator, and spectrum() reads the C(k) spectrum
-off the same chain.  Every one-dimensional piece becomes a labeled basis
-vector: its eigenvalue chain, the standard Young tableau the chain
-encodes, and exact integer coefficients c with an implied overall factor
-1/sqrt(norm_sq).  The coefficient table read off this basis is the
-coupling-coefficient table of the configuration.
+off the same chain.  A state operator commutes with S_n, so it splits
+only each shape's row leaf, and _carry takes that split to the shape's
+other leaves by Young's seminormal form.  Every one-dimensional piece
+becomes a labeled basis vector: its eigenvalue chain, the standard Young
+tableau the chain encodes, and exact integer coefficients c with an
+implied overall factor 1/sqrt(norm_sq).  The coefficient table read off
+this basis is the coupling-coefficient table of the configuration.
 
 On a leaf of shape lambda^(k-1), X(k) acts as the content of the box that
 k adds (Okounkov-Vershik), so its split tries only the contents of the
@@ -296,6 +298,81 @@ def _chain(basis: OrbitBasis, k: int) -> list[_Leaf]:
     return leaves
 
 
+def _steps(contents: tuple[int, ...]) -> list[tuple[int, int, tuple[int, ...]]]:
+    """(a, r, contents of s_a T) for every adjacent transposition s_a that
+    takes the standard tableau T with box contents ``contents`` (c_1, ...,
+    c_n) to another standard tableau: exactly those whose axial distance
+    r = c_{a+1} - c_a has |r| >= 2."""
+    steps = []
+    for a in range(1, len(contents)):
+        r = contents[a] - contents[a - 1]
+        if abs(r) >= 2:
+            steps.append((a, r, contents[:a - 1] + (contents[a], contents[a - 1]) + contents[a + 1:]))
+    return steps
+
+
+def _carry(leaves: list[_Leaf], pieces: list[_Leaf], basis: OrbitBasis) -> list[_Leaf]:
+    """Every chain leaf's pieces, carried from the pieces of its shape's
+    row leaf, which the state operators split.
+
+    ``leaves`` are the chain leaves; ``pieces`` are the row leaves' pieces
+    in order.  A breadth-first walk over the standard tableaux of each
+    shape, from the row tableau, steps from T to s_a T when the axial
+    distance r = c_{a+1} - c_a has |r| >= 2.  Each piece's rows go through
+    x -> r s_a(x) - x, with s_a(x)[t] = x[sigma_a[t]] for the ket map
+    sigma_a of (a a+1), and are put in canonical form.  The result lists
+    each chain leaf's pieces in the order of its row leaf's.
+
+    Why this is exact:
+    - act_state and act_particle commute, so every state operator
+      commutes with s_a.
+    - On the leaf of T, r s_a - 1 is r sqrt(1 - 1/r^2) times an isometry
+      onto the leaf of s_a T, one copy at a time (Young's seminormal form,
+      Okounkov-Vershik).
+    - So it maps each eigenspace piece onto the piece with the same
+      eigenvalue, and the orthogonal remainder onto the remainder, with
+      the same dimensions.  An operator is invariant on the row leaf's
+      pieces exactly when it is invariant on every leaf's pieces, so
+      splitting only the row leaves changes neither the auto loop's stop
+      nor its skip decisions.
+    - Canonical RREF is unique, so the carried pieces equal, row for row,
+      what _refine gives when it splits every leaf: leaf order,
+      Gram-Schmidt and every output stay the same.
+
+    Raises InternalCheckError when the walk reaches no piece for some
+    chain leaf, or a carried piece's rank is not its source's.
+    """
+    n = basis.degree
+    s_maps = element_maps([transposition(a, a + 1, n) for a in range(1, n)], basis)
+    split: dict[tuple[int, ...], list[_Leaf]] = {}
+    for piece in pieces:
+        split.setdefault((0,) + piece.labels[:n - 1], []).append(piece)
+    walk = list(split)
+    for contents in walk:  # the walk grows as it goes: breadth first
+        for a, r, target in _steps(contents):
+            if target in split:
+                continue
+            sigma = s_maps[a - 1]
+            carried = []
+            for piece in split[contents]:
+                space = piece.space
+                rows = [[r * row[s] - x for s, x in zip(sigma, row)] for row in space.rows]
+                image = Subspace.from_rows(space.ambient, rows)
+                if image.dim != space.dim:
+                    raise InternalCheckError(
+                        f"s_{a} carried a piece of rank {space.dim} to rank {image.dim}")
+                carried.append(_Leaf(image, target[1:] + piece.labels[n - 1:], piece.remainder))
+            split[target] = carried
+            walk.append(target)
+    out = []
+    for leaf in leaves:
+        carried = split.get((0,) + leaf.labels)
+        if carried is None:
+            raise InternalCheckError(f"no carry reaches the chain leaf with contents {leaf.labels}")
+        out.extend(carried)
+    return out
+
+
 def spectrum(basis: OrbitBasis, k: int) -> list[tuple[int, int]]:
     """Realized eigenvalues of C(k) on the orbit with multiplicities,
     rarest first, ties broken by descending eigenvalue.  C(k) acts on a
@@ -311,7 +388,12 @@ def resolve(basis: OrbitBasis, state_ops: Sequence[Sequence[Sequence[int]]] | No
     """Resolve an orbit into labeled symmetry-adapted basis vectors.
 
     The chain splits the orbit by X(2), ..., X(n); the state operators
-    then go through the same routine, _refine.
+    then go through the same routine, _refine, on the row leaf of each
+    shape only (the leaf whose tableau holds 1..n read row by row), and
+    _carry builds every other leaf's pieces from its row leaf's.  The
+    table is the one that splitting every leaf gives (see _carry).  With
+    no state operator queued, no row leaf is sought; with none applied,
+    nothing is carried.
 
     ``state_ops`` is an ordered list of state operators, each a list of
     alphabet transpositions (index pairs) whose matrices are summed.  When
@@ -333,19 +415,28 @@ def resolve(basis: OrbitBasis, state_ops: Sequence[Sequence[Sequence[int]]] | No
     ops_queue = (default_state_ops(basis) if auto
                  else [normalize_state_pairs(op, basis) for op in state_ops])
     leaves = _chain(basis, n)
+    # the state operators split only each shape's row leaf, whose tableau
+    # holds 1..n read row by row; _carry takes the split to the other leaves
+    row_order = list(range(1, n + 1))
+    pieces = [
+        leaf for leaf in leaves
+        if [x for row in rows_from_contents((0,) + leaf.labels) for x in row] == row_order
+    ] if ops_queue else []
     applied: list[StateOp] = []
     skipped: list[StateOp] = []
     for i, op in enumerate(ops_queue):
-        if auto and not any(lf.space.dim > 1 and not lf.remainder for lf in leaves):
+        if auto and not any(lf.space.dim > 1 and not lf.remainder for lf in pieces):
             break
         maps = state_maps(op, basis)
         cands = tuple(range(len(op), -len(op) - 1, -1))
         try:
-            leaves = _refine(leaves, maps, f"state op {i}", lambda leaf: cands)
+            pieces = _refine(pieces, maps, f"state op {i}", lambda leaf: cands)
         except NotInvariantError:
             skipped.append(op)
             continue
         applied.append(op)
+    if applied:
+        leaves = _carry(leaves, pieces, basis)
 
     def nu(leaf: _Leaf) -> tuple[int, ...]:
         # nu_k is the sum of the box contents up to k

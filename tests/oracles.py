@@ -8,8 +8,10 @@ products instead of spectral orthogonality, tableau entry swaps and
 Fraction Bessel sums instead of chain arithmetic for Young's orthogonal
 form, Fraction Parseval sums instead of integer block sums, C(k) and X(j)
 applied term by term, maps of composed permutations instead of Coxeter
-relations, and dense C(k) eigenspaces instead of the Jucys-Murphy
-chain's leaves.
+relations, dense C(k) eigenspaces instead of the Jucys-Murphy chain's
+leaves, state operators refined on every chain leaf instead of carried
+from each shape's row leaf (resolve_reference), and a span as the
+kernel of its kernel instead of one elimination (span_reference).
 
 The dense representation lives here too.  The package holds every
 operator as ket maps and every subspace as integer rows; the tests check
@@ -31,10 +33,21 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from symadapt.configs import act_particle, act_state
-from symadapt.linalg import Subspace, _jordan, kernel, restrict_apply
-from symadapt.operators import element_maps, ket_map, maps_to_matrix, state_maps
+from symadapt.linalg import NotInvariantError, Subspace, _jordan, kernel, restrict_apply
+from symadapt.operators import element_maps, ket_map, maps_to_matrix, normalize_state_pairs, state_maps
 from symadapt.perm import Permutation, transposition
-from symadapt.solver import Check, VerifyReport
+from symadapt.solver import (
+    CGTable,
+    Check,
+    LabelChain,
+    LabeledVector,
+    VerifyReport,
+    _chain,
+    _gram_schmidt,
+    _refine,
+    default_state_ops,
+    normalize,
+)
 
 
 def row_to_int(row) -> list[int]:
@@ -47,6 +60,12 @@ def row_to_int(row) -> list[int]:
 def from_rows(ambient: int, rows) -> Subspace:
     """The Subspace spanned by arbitrary integer or rational rows."""
     return Subspace.from_rows(ambient, [row_to_int(r) for r in rows])
+
+
+def span_reference(ambient: int, rows) -> Subspace:
+    """The span of integer rows as the kernel of their kernel: a span
+    equals (span⊥)⊥."""
+    return Subspace.from_kernel(ambient, kernel(kernel(rows, ambient), ambient))
 
 
 def coords(space: Subspace, vec) -> tuple[Fraction, ...] | None:
@@ -639,3 +658,38 @@ def block_structure_reference(table, elements) -> Check:
                             f"{g} connects vectors {i} and {b} across blocks",
                         )
     return Check("block_structure", "PASS")
+
+
+def resolve_reference(basis, state_ops=None) -> CGTable:
+    """resolve() with every state operator refining every chain leaf
+    through _refine, instead of splitting each shape's row leaf and
+    carrying the split."""
+    n = basis.degree
+    auto = not state_ops
+    ops_queue = (default_state_ops(basis) if auto
+                 else [normalize_state_pairs(op, basis) for op in state_ops])
+    leaves = _chain(basis, n)
+    applied, skipped = [], []
+    for i, op in enumerate(ops_queue):
+        if auto and not any(lf.space.dim > 1 and not lf.remainder for lf in leaves):
+            break
+        maps = state_maps(op, basis)
+        cands = tuple(range(len(op), -len(op) - 1, -1))
+        try:
+            leaves = _refine(leaves, maps, f"state op {i}", lambda leaf: cands)
+        except NotInvariantError:
+            skipped.append(op)
+            continue
+        applied.append(op)
+
+    def nu(leaf) -> tuple[int, ...]:
+        return tuple(itertools.accumulate(leaf.labels[: n - 1]))[::-1]
+
+    leaves.sort(key=nu, reverse=True)
+    vectors = []
+    for leaf in leaves:
+        chain = LabelChain(nu(leaf), leaf.labels[n - 1:])
+        for row in _gram_schmidt(leaf.space.rows):
+            vectors.append(LabeledVector(chain, *normalize(row)))
+    return CGTable(basis=basis, vectors=tuple(vectors),
+                   state_ops=tuple(applied), skipped_state_ops=tuple(skipped))
