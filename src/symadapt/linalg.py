@@ -1,19 +1,21 @@
-"""Exact linear algebra over the integers: kernels, intersections, blocks
-of operators on invariant subspaces, and their integer eigenspaces.
+"""Exact linear algebra over the integers: kernels, spans, intersections,
+blocks of operators on invariant subspaces, and the split of a subspace
+into their integer eigenspaces.
 
-A Subspace holds its basis as primitive integer rows in reduced row
-echelon form: every row has gcd 1 and a positive pivot entry, and is
-zero in the pivot columns of the other rows.  That form is canonical, so
-subspace equality is plain structural equality.  Elimination runs
-fraction-free over Python integers with per-row gcd reduction; input and
-output are integers throughout.  Every canonical basis comes out of one
-elimination: a kernel's in kernel() (see there), a span's in
-Subspace.from_rows, and an intersection is the kernel of the stacked
-kernels.
+A Subspace holds its basis as integer rows in reduced row echelon form,
+each in primitive() form (gcd 1, first nonzero entry, its pivot,
+positive) and zero in the other rows' pivot columns.  That form is
+canonical, so subspace equality is plain structural equality.
+Elimination runs fraction-free over Python integers with per-row gcd
+reduction.  kernel() and Subspace.from_rows each reach the canonical form
+in one elimination (see there); split() solves eigenspaces and the
+orthogonal remainder as kernels in a subspace's coordinates and lifts
+them without another.
 """
 from __future__ import annotations
 
 from math import gcd, lcm
+from operator import mul
 from typing import Callable, Sequence
 
 IntRow = tuple[int, ...]
@@ -27,6 +29,24 @@ class NotInvariantError(ValueError):
     def __init__(self, message: str, witness: tuple[int, ...]):
         super().__init__(message)
         self.witness = witness
+
+
+def dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(map(mul, a, b))
+
+
+def primitive(row: Sequence[int]) -> IntRow:
+    """``row`` divided by the gcd of its entries and signed so that its
+    first nonzero entry is positive; ValueError for the zero row."""
+    g = gcd(*row)
+    if not g:
+        raise ValueError("cannot normalize the zero vector")
+    for lead in row:
+        if lead:
+            break
+    if lead < 0:
+        g = -g
+    return tuple(row) if g == 1 else tuple([a // g for a in row])
 
 
 def _reduce_row(row: list[int]) -> list[int]:
@@ -109,9 +129,8 @@ def kernel(matrix: Matrix, ncols: int | None = None) -> tuple[IntRow, ...]:
         v[f] = scale
         for row, p in hits:
             v[p] = -row[f] * (scale // row[p])
-        g = gcd(*v)
         v.reverse()
-        basis.append(tuple(v) if g == 1 else tuple([a // g for a in v]))
+        basis.append(primitive(v))
     return tuple(basis)
 
 
@@ -135,24 +154,13 @@ class Subspace:
     @classmethod
     def from_rows(cls, ambient: int, rows: Matrix) -> "Subspace":
         """Span of arbitrary integer rows, canonicalized by one elimination
-        of the rows themselves: zero rows drop out, and each pivot row is
-        divided by its gcd, signed so that its pivot is positive."""
+        of the rows themselves: zero rows drop out, and each pivot row,
+        whose first nonzero entry is its pivot, is put in primitive() form."""
         for row in rows:
             if len(row) != ambient:
                 raise ValueError(f"row length {len(row)} != ambient {ambient}")
         red, pivots = _jordan([list(row) for row in rows])
-        out = []
-        for row, p in zip(red, pivots):
-            g = gcd(*row)
-            if row[p] < 0:
-                g = -g
-            out.append(tuple(a // g for a in row))
-        return cls(ambient, tuple(out), tuple(pivots))
-
-    @classmethod
-    def from_kernel(cls, ambient: int, rows: tuple[IntRow, ...]) -> "Subspace":
-        """Wrap rows that are already canonical, as kernel() returns them."""
-        return cls(ambient, rows, tuple(next(t for t, x in enumerate(r) if x) for r in rows))
+        return cls(ambient, tuple(primitive(row) for row in red[:len(pivots)]), tuple(pivots))
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
@@ -243,20 +251,62 @@ def eigenrows_of_block(
     return kernel(rows, len(rows))
 
 
+def split(
+    space: Subspace, block: Matrix, candidates: Sequence[int]
+) -> tuple[list[Subspace], Subspace | None]:
+    """One operator's eigenspaces in the invariant subspace ``space``, read
+    off its restrict_apply ``block``: a Subspace per candidate eigenvalue,
+    in order (zero-dimensional for a candidate that is no eigenvalue), and
+    the part of ``space`` orthogonal to all of them, or None when they fill
+    (or overfill) it.
+
+    Both are kernels in ``space``'s coordinates.  Coordinate rows and
+    ``space``'s rows are RREF with positive pivots, so a coordinate row with
+    pivot q lifts to a row with positive pivot space.pivots[q], zero in the
+    other lifted pivot columns: primitive() finishes the lift.  Coordinates
+    x lie in the remainder when sum_i x_i (z_i . c) = 0 over the rows z_i of
+    ``space``, for every eigenspace row c.
+    """
+    # (column, entry) over the nonzero entries of each row, built once
+    support = [[(t, x) for t, x in enumerate(row) if x] for row in space.rows]
+
+    def lift(coord_rows: tuple[IntRow, ...]) -> Subspace:
+        out = []
+        for crow in coord_rows:
+            acc = [0] * space.ambient
+            for c, nonzero in zip(crow, support):
+                if c:
+                    for t, x in nonzero:
+                        acc[t] += c * x
+            out.append(primitive(acc))
+        pivots = tuple(space.pivots[next(q for q, c in enumerate(crow) if c)] for crow in coord_rows)
+        return Subspace(space.ambient, tuple(out), pivots)
+
+    leads = space.leads
+    pieces = [lift(eigenrows_of_block(block, leads, c)) for c in candidates]
+    if sum(piece.dim for piece in pieces) >= space.dim:
+        return pieces, None
+    gram = [[dot(z, c) for z in space.rows] for piece in pieces for c in piece.rows]
+    return pieces, lift(kernel(gram, space.dim))
+
+
 def intersect(s1: Subspace, s2: Subspace) -> Subspace:
     """Exact intersection, computed through orthogonal complements:
     (S1 ∩ S2) = (S1⊥ + S2⊥)⊥ for the standard bilinear form on Q^n."""
     if s1.ambient != s2.ambient:
         raise ValueError(f"ambient mismatch: {s1.ambient} != {s2.ambient}")
     n = s1.ambient
-    return Subspace.from_kernel(n, kernel(kernel(s1.rows, n) + kernel(s2.rows, n), n))
+    return Subspace.from_rows(n, kernel(kernel(s1.rows, n) + kernel(s2.rows, n), n))
 
 
 __all__ = [
     "NotInvariantError",
     "Subspace",
+    "dot",
+    "primitive",
     "kernel",
     "restrict_apply",
     "eigenrows_of_block",
+    "split",
     "intersect",
 ]

@@ -4,9 +4,11 @@ resolve() splits the orbit space into joint integer eigenspaces of the
 Jucys-Murphy elements X(k) = (1 k) + ... + (k-1 k), k = 2..n, then lifts
 any remaining multiplicity with state-permutation operators; one routine,
 _refine, applies every operator, and spectrum() reads the C(k) spectrum
-off the same chain.  A state operator commutes with S_n, so it splits
-only each shape's row leaf, and _carry takes that split to the shape's
-other leaves by Young's seminormal form.  Every one-dimensional piece
+off the same chain.  _refine chooses the candidate eigenvalues and the
+labels; linalg.split does the linear algebra of each split.  A state
+operator commutes with S_n, so it splits only each shape's row leaf, and
+_carry takes that split to the shape's other leaves by Young's
+seminormal form.  Every one-dimensional piece
 becomes a labeled basis vector: its eigenvalue chain, the standard Young
 tableau the chain encodes, and exact integer coefficients c with an
 implied overall factor 1/sqrt(norm_sq).  The coefficient table read off
@@ -28,18 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from math import gcd, lcm
-from operator import mul
+from math import lcm
 from typing import Callable, Sequence
 
 from .configs import OrbitBasis
-from .linalg import (
-    NotInvariantError,
-    Subspace,
-    eigenrows_of_block,
-    kernel,
-    restrict_apply,
-)
+from .linalg import NotInvariantError, Subspace, dot, primitive, restrict_apply, split
 from .operators import (
     apply_maps,
     element_maps,
@@ -146,15 +141,10 @@ class CGTable:
 
 
 def normalize(vec: Sequence[int]) -> tuple[tuple[int, ...], int]:
-    """Divide an integer vector by its gcd, make the first nonzero entry
-    positive, and return (coeffs, sum of squares)."""
-    g = gcd(*vec)
-    if not g:
-        raise ValueError("cannot normalize the zero vector")
-    if next(a for a in vec if a) < 0:
-        g = -g
-    coeffs = tuple(a // g for a in vec)
-    return coeffs, sum(a * a for a in coeffs)
+    """The primitive form of an integer vector (gcd 1, first nonzero entry
+    positive) and its sum of squares."""
+    coeffs = primitive(vec)
+    return coeffs, dot(coeffs, coeffs)
 
 
 def default_state_ops(basis: OrbitBasis) -> list[StateOp]:
@@ -183,27 +173,6 @@ class _Leaf:
     remainder: bool = False
 
 
-def _lift(coord_rows: Sequence[Sequence[int]], space: Subspace) -> Subspace:
-    """Span of canonical coordinate rows (as kernel() returns them) over
-    ``space``'s basis rows."""
-    # Both row sets are RREF with positive pivots, so a coordinate row with
-    # pivot q lifts to a row with positive pivot space.pivots[q] that is
-    # zero in the other lifted pivot columns: the lift is already RREF and
-    # only needs dividing by its gcd.
-    support = [[(t, x) for t, x in enumerate(row) if x] for row in space.rows]
-    out = []
-    for crow in coord_rows:
-        acc = [0] * space.ambient
-        for c, nonzero in zip(crow, support):
-            if c:
-                for t, x in nonzero:
-                    acc[t] += c * x
-        g = gcd(*acc)
-        out.append(tuple(acc) if g == 1 else tuple(a // g for a in acc))
-    pivots = tuple(space.pivots[next(q for q, c in enumerate(crow) if c)] for crow in coord_rows)
-    return Subspace(space.ambient, tuple(out), pivots)
-
-
 def _refine(
     leaves: list[_Leaf],
     maps: Sequence[tuple[int, ...]],
@@ -217,8 +186,9 @@ def _refine(
     that order and append their eigenvalue to the leaf's labels.  The
     operator's block is read on every live leaf before any leaf is split,
     so a NotInvariantError leaves the partition as it was.  Whatever the
-    candidates leave uncovered (irrational eigenvalues) becomes a frozen
-    remainder leaf that keeps the parent's labels.
+    candidates leave uncovered (irrational eigenvalues) is split's
+    orthogonal remainder and becomes a frozen remainder leaf that keeps
+    the parent's labels.
     """
     blocks = [
         None if leaf.remainder
@@ -230,20 +200,14 @@ def _refine(
         if block is None:
             out.append(leaf)
             continue
-        space = leaf.space
-        leads = space.leads
-        children = []
-        for c in cands(leaf):
-            rows = eigenrows_of_block(block, leads, c)
-            if rows:
-                children.append(_Leaf(_lift(rows, space), leaf.labels + (c,)))
-        total = sum(child.space.dim for child in children)
-        if total > space.dim:
+        values = cands(leaf)
+        pieces, rem = split(leaf.space, block, values)
+        total = sum(piece.dim for piece in pieces)
+        if total > leaf.space.dim:
             raise InternalCheckError(f"{label}: eigenspaces overfill the leaf")
-        out.extend(children)
-        if total < space.dim:
-            rem = _orthogonal_remainder(space, [child.space for child in children])
-            if rem.dim != space.dim - total:
+        out.extend(_Leaf(piece, leaf.labels + (c,)) for c, piece in zip(values, pieces) if piece.dim)
+        if rem is not None:
+            if rem.dim != leaf.space.dim - total:
                 raise InternalCheckError(f"{label}: remainder dimension mismatch")
             out.append(_Leaf(rem, leaf.labels, remainder=True))
     return out
@@ -256,27 +220,18 @@ def _corner_contents(leaf: _Leaf) -> list[int]:
     return [c for _, c in addable_corners(shape)]
 
 
-def _orthogonal_remainder(space: Subspace, children: Sequence[Subspace]) -> Subspace:
-    """The part of ``space`` orthogonal to every child row, solved in the
-    leaf's coordinates: x lifts into it when sum_i x_i (z_i . c) = 0."""
-    gram = [[_dot(z, c) for z in space.rows] for sub in children for c in sub.rows]
-    return _lift(kernel(gram, space.dim), space)
-
-
-def _gram_schmidt(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+def _gram_schmidt(rows: Sequence[Sequence[int]]) -> list[Sequence[int]]:
     """Fraction-free Gram-Schmidt: v <- (b.b) v - (v.b) b against each
-    earlier b, then divide by the gcd.  Every step scales by a positive
-    integer, so each direction is the one rational Gram-Schmidt gives."""
-    basis: list[tuple[list[int], int]] = []
-    for row in rows:
-        v = list(row)
+    earlier b, then primitive().  Every step scales by a nonzero integer,
+    so each row spans the line that rational Gram-Schmidt gives, and
+    normalize() fixes its sign."""
+    basis: list[tuple[Sequence[int], int]] = []
+    for v in rows:
         for b, bb in basis:
-            vb = _dot(v, b)
+            vb = dot(v, b)
             if vb:
-                v = [bb * x - vb * y for x, y in zip(v, b)]
-                g = gcd(*v)
-                v = [x // g for x in v]
-        basis.append((v, _dot(v, v)))
+                v = primitive([bb * x - vb * y for x, y in zip(v, b)])
+        basis.append((v, dot(v, v)))
     return [v for v, _ in basis]
 
 
@@ -481,10 +436,6 @@ class VerifyReport:
         ]
 
 
-def _dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(map(mul, a, b))
-
-
 def _inverse(sigma: Sequence[int]) -> list[int]:
     """The inverse of a ket map: inv[sigma[j]] = j."""
     inv = [0] * len(sigma)
@@ -506,7 +457,7 @@ def _failed_relations(table: CGTable, s_maps: Sequence[tuple[int, ...]]) -> list
     # per record: its nonzero vectors g, each weighted by L / (g . g), and L
     groups = {}
     for chain, mates in table.records.items():
-        squares = [(vecs[b].coeffs, _dot(vecs[b].coeffs, vecs[b].coeffs)) for b in mates]
+        squares = [(vecs[b].coeffs, dot(vecs[b].coeffs, vecs[b].coeffs)) for b in mates]
         big = lcm(*(sq for _, sq in squares if sq))
         groups[chain] = [(g, big // sq) for g, sq in squares if sq], big
     inverses = [_inverse(sigma) for sigma in s_maps]
@@ -526,7 +477,7 @@ def _failed_relations(table: CGTable, s_maps: Sequence[tuple[int, ...]]) -> list
                 partner = LabelChain(nu[:n - a] + (nu[n - a] + r,) + nu[n - a + 1:],
                                      v.chain.state_labels)
                 mates, big = groups.get(partner, ((), 1))
-                held = sum(_dot(u, g) ** 2 * w for g, w in mates) == _dot(u, u) * big
+                held = sum(dot(u, g) ** 2 * w for g, w in mates) == dot(u, u) * big
             if not held:
                 failed.append((i, a))
     return failed
@@ -578,12 +529,9 @@ def verify_table(table: CGTable) -> VerifyReport:
     vecs = table.vectors
     m = len(vecs)
 
-    bad_norm = []
-    for i, v in enumerate(vecs):
-        lead = next((c for c in v.coeffs if c), 0)
-        if (v.norm_sq <= 0 or _dot(v.coeffs, v.coeffs) != v.norm_sq
-                or gcd(*v.coeffs) != 1 or lead <= 0):
-            bad_norm.append(i)
+    # a positive norm_sq that is the sum of squares makes the row nonzero
+    bad_norm = [i for i, v in enumerate(vecs) if v.norm_sq <= 0 or dot(v.coeffs, v.coeffs)
+                != v.norm_sq or primitive(v.coeffs) != tuple(v.coeffs)]
 
     op_maps = [state_maps(op, basis) for op in table.state_ops]
     failures = [
@@ -598,7 +546,7 @@ def verify_table(table: CGTable) -> VerifyReport:
 
     def nonorthogonal(partners) -> list[tuple[int, int]]:
         return [(i, j) for i in range(m) for j in partners(i)
-                if _dot(vecs[i].coeffs, vecs[j].coeffs)]
+                if dot(vecs[i].coeffs, vecs[j].coeffs)]
 
     short = {i for i, v in enumerate(vecs) if len(v.chain.state_labels) < len(op_maps)}
     spectral = not (bad_norm or failures or relations) and all(
@@ -682,7 +630,7 @@ def block_structure_check(table: CGTable, elements: Sequence[Permutation]) -> Ch
             # image[sigma[j]] = coeffs[j]
             image = [v.coeffs[j] for j in sigma_inv]
             mates, big = blocks[keys[i]]
-            projected = sum(_dot(image, vecs[b].coeffs) ** 2 * (big // vecs[b].norm_sq)
+            projected = sum(dot(image, vecs[b].coeffs) ** 2 * (big // vecs[b].norm_sq)
                             for b in mates)
             if projected != v.norm_sq * big:
                 return Check(
@@ -691,7 +639,7 @@ def block_structure_check(table: CGTable, elements: Sequence[Permutation]) -> Ch
                 )
             if direct:
                 for b, u in enumerate(vecs):
-                    if b not in mates and _dot(image, u.coeffs) != 0:
+                    if b not in mates and dot(image, u.coeffs) != 0:
                         return Check(
                             "block_structure", "FAIL",
                             f"{g} connects vectors {i} and {b} across blocks",

@@ -64,8 +64,9 @@ def from_rows(ambient: int, rows) -> Subspace:
 
 def span_reference(ambient: int, rows) -> Subspace:
     """The span of integer rows as the kernel of their kernel: a span
-    equals (span⊥)⊥."""
-    return Subspace.from_kernel(ambient, kernel(kernel(rows, ambient), ambient))
+    equals (span⊥)⊥.  kernel() already gives canonical rows, which
+    from_rows keeps as they are."""
+    return Subspace.from_rows(ambient, kernel(kernel(rows, ambient), ambient))
 
 
 def coords(space: Subspace, vec) -> tuple[Fraction, ...] | None:
@@ -110,7 +111,7 @@ def eigenspace(matrix, nu: int) -> Subspace:
         if len(row) != d:
             raise ValueError("eigenspace needs a square matrix")
         rows.append([x - nu if t == i else x for t, x in enumerate(row)])
-    return Subspace.from_kernel(d, kernel(rows, d))
+    return Subspace.from_rows(d, kernel(rows, d))
 
 
 def candidate_eigenvalues(k: int) -> tuple[int, ...]:

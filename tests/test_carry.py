@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symadapt import solver
-from symadapt.linalg import Subspace
+from symadapt.linalg import Subspace, kernel
 from symadapt.solver import InternalCheckError, resolve
 from symadapt.young import rows_from_contents
 
@@ -129,3 +129,5 @@ def test_from_rows_equals_the_kernel_of_the_kernel(case):
     got = Subspace.from_rows(ambient, rows)
     want = span_reference(ambient, rows)
     assert (got.rows, got.pivots) == (want.rows, want.pivots)
+    # the kernel's own rows, with no elimination by from_rows in between
+    assert got.rows == kernel(kernel(rows, ambient), ambient)

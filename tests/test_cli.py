@@ -94,6 +94,14 @@ PINNED_JSON = [
     pytest.param(["verify", "--config", "abcd", *SKIPPED_OP], 2,
                  "373c9201f900f0356652955fb79fb87f29b833df401c4e334d90f3dd43803575",
                  id="verify-abcd-skipped-op"),
+    # path sums with irrational eigenvalues: their remainder leaves are
+    # solved and lifted by linalg.split (digests taken before it existed)
+    pytest.param(["basis", "--config", "abcde", "--state-ops", "(a b)+(b c)+(c d)+(d e)"], 2,
+                 "6ca4e0ca701b774b1ab88f84d6b261c9da270655c3b94483bb207350e8cd8859",
+                 id="abcde-path-remainder"),
+    pytest.param(["basis", "--config", "abcd", "--state-ops", "(a b)+(b c)+(c d)"], 2,
+                 "0e45da3037533b85169c0a8ee6237107ea62d8db644af833ad1e73c202d34902",
+                 id="abcd-path-remainder"),
     # spectra pinned from the dense C(k) kernels, now read off the X(k) chain
     pytest.param(["eigenvalues", "--config", "abcde", "--k", "5"], 0,
                  "5b4a1611c3f4fdcbaaa730d8b1e5c1e7f5496caa5edc027db5d11d0d9c8281cb",

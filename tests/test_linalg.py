@@ -4,7 +4,15 @@ from math import gcd
 
 import pytest
 
-from symadapt.linalg import NotInvariantError, Subspace, intersect, kernel
+from symadapt.linalg import (
+    NotInvariantError,
+    Subspace,
+    intersect,
+    kernel,
+    primitive,
+    restrict_apply,
+    split,
+)
 
 from helpers import make_basis
 from oracles import (
@@ -262,17 +270,23 @@ def test_eigenspace_dimension_sums_cover_orbits():
 
 
 def test_eigenspaces_equal_spectral_projection_spans():
-    # kernel extraction against the independent projection-product oracle
+    # kernel extraction, and split on the full space, against the
+    # independent projection-product oracle
     for cfg in ["ab", "aaa", "aab", "abc", "aabb", "aabc", "abcd"]:
         basis = make_basis(cfg)
         if len(basis) > 24:
             continue
+        full = Subspace.full(len(basis))
         for k in range(2, basis.degree + 1):
             m = class_operator(k, basis)
             cands = candidate_eigenvalues(k)
-            for nu in cands:
+            block = restrict_apply(lambda v: [sum(a * x for a, x in zip(row, v)) for row in m], full)
+            pieces, remainder = split(full, block, cands)
+            # the spectrum of C(k) lies in the candidates, so nothing remains
+            assert remainder is None
+            for nu, piece in zip(cands, pieces, strict=True):
                 cols = spectral_projection_columns(m, nu, cands)
-                assert from_rows(len(basis), cols) == eigenspace(m, nu)
+                assert from_rows(len(basis), cols) == eigenspace(m, nu) == piece
 
 
 def test_subspace_coords_and_contains():
@@ -307,6 +321,13 @@ def test_restrict_then_decompose_commutes_with_decompose_then_intersect():
                 lifted = from_rows(len(basis), via_restrict)
                 direct = intersect(outer, eigenspace(c_2, m))
                 assert lifted == direct
+
+
+def test_primitive_divides_by_the_gcd_and_signs_the_first_nonzero_entry():
+    assert primitive((0, -2, 4, 6)) == (0, 1, -2, -3)
+    assert primitive([3, -5]) == (3, -5)
+    with pytest.raises(ValueError, match="cannot normalize the zero vector"):
+        primitive((0, 0, 0))
 
 
 def test_from_rows_rejects_rows_of_the_wrong_length():

@@ -6,7 +6,7 @@ from dataclasses import fields, replace
 import pytest
 
 from symadapt import solver
-from symadapt.linalg import Subspace, intersect, kernel
+from symadapt.linalg import Subspace, dot, intersect, kernel
 from symadapt.operators import apply_maps, element_maps, state_maps
 from symadapt.solver import (
     CGTable,
@@ -357,8 +357,8 @@ def test_multi_transposition_operator_with_irrational_remainder():
 
 
 def test_leaves_are_canonical_and_remainders_match_intersect():
-    # _lift wraps its rows without re-eliminating them, and the remainder
-    # is solved in leaf coordinates; both must give the canonical rows
+    # split lifts its rows without re-eliminating them, and solves the
+    # remainder in leaf coordinates; both must give the canonical rows
     # that ambient elimination gives
     basis = make_basis("abcd")
     chain = solver._chain(basis, 4)
@@ -379,8 +379,12 @@ def test_leaves_are_canonical_and_remainders_match_intersect():
             if not leaf.remainder and leaf.labels[:-1] == parent.labels
             for row in leaf.space.rows
         ]
-        want = intersect(parent.space, Subspace.from_kernel(d, kernel(rows, d)))
+        want = intersect(parent.space, Subspace.from_rows(d, kernel(rows, d)))
         assert rem.space.rows == want.rows
+        # the remainder is orthogonal to every eigenspace piece, and the
+        # pieces and the remainder fill the parent leaf
+        assert all(dot(z, c) == 0 for z in rem.space.rows for c in rows)
+        assert rem.space.dim + len(rows) == parent.space.dim
 
 
 def test_sum_operator_labels_beyond_plus_minus_one():

@@ -18,12 +18,15 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from symadapt.operators import element_maps
 from symadapt.perm import transposition
 from symadapt.solver import (
     CGTable,
     Check,
     LabelChain,
+    LabeledVector,
     block_structure_check,
+    normalize,
     resolve,
     verify_table,
 )
@@ -269,6 +272,52 @@ def test_short_record_remainder_mixed_into_its_leaf_fails_orthogonality():
                 assert f"({min(r, f)}, {max(r, f)})" in report.checks[1].detail
                 mixes += 1
     assert mixes == 12
+
+
+def test_overfull_mates_that_pass_the_young_relations_send_every_pair_to_be_dotted():
+    # abc has two copies of shape (2,1).  g1, g2 span the row tableau T's
+    # leaf and phi = -2 s_2 - 1 maps it onto the leaf of s_2 T, sqrt(3)
+    # times an isometry.  In the coordinates a g1 + b g2, whose squared
+    # norm is 4 (3a^2 + b^2), (0, 1), (1, -1) and (1, 1) lie 60 degrees
+    # apart and (1, 2), (2, -3) are orthogonal: the five rows under T's
+    # record sum to 5/2 of the identity as a Bessel frame.  The three rows
+    # under s_2 T's record are phi of the first three plus z times the sign
+    # vector, with z^2 = n: each carries a third of its norm outside the
+    # leaf, so their frame is exactly the identity on it.  So every Bessel
+    # sum holds over non-orthogonal mates, and the whole table passes the
+    # Young relations, while the s_2 T rows are not orthogonal to the sign
+    # vector, a pair under different records that only the all-pairs
+    # fallback dots.
+    basis = make_basis("abc")
+    triv, g1, g2, _, _, sign = (v.coeffs for v in _table("abc").vectors)
+    (s2,) = element_maps([transposition(2, 3, 3)], basis)
+
+    def comb(a, b, z=0, phi=False):
+        row = [a * x + b * y for x, y in zip(g1, g2)]
+        if phi:
+            row = [-2 * row[s] - x for s, x in zip(s2, row)]
+        return [x + z * e for x, e in zip(row, sign)]
+
+    records = [
+        ((-3, -1), [sign]),
+        ((0, -1), [comb(0, 1, 1, True), comb(1, -1, 2, True), comb(1, 1, 2, True)]),
+        ((3, 1), [triv]),
+        ((0, 1), [comb(0, 1), comb(1, -1), comb(1, 1), comb(1, 2), comb(2, -3)]),
+    ]
+    vectors = tuple(LabeledVector(LabelChain(nu, ()), *normalize(row))
+                    for nu, rows in records for row in rows)
+    table = replace(_table("abc"), vectors=vectors, state_ops=(), skipped_state_ops=())
+    report = verify_table(table)
+    assert report == verify_table_reference(table)
+    assert report.lines() == [
+        "PASS unit_norm",
+        # (0, 1), (0, 2) and (0, 3) pair the sign vector with s_2 T's rows
+        "FAIL orthogonality: non-orthogonal pairs [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)]",
+        "PASS eigen_equations",
+        "FAIL completeness: 10 vectors for orbit size 6; complete flag False",
+        "PASS young_orthogonal_form",
+        REPRESENTATION,
+    ]
 
 
 def test_zero_vector_fails_block_structure_without_raising():
