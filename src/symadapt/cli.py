@@ -186,42 +186,43 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def render_csv_table(table: CGTable) -> str:
-    basis = table.basis
+def _csv(header: list[str], rows) -> str:
+    """CSV text: the header line, then one line per row."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["vector_id", "nu_chain", "tableau", "ket", "coeff_numerator", "norm_sq"])
-    for idx, v in enumerate(table.vectors, 1):
-        nu_chain = ",".join(str(x) for x in v.chain.nu)
-        tableau = json.dumps([list(r) for r in v.tableau.rows], separators=(",", ":"))
-        for c, w in zip(v.coeffs, basis.configs):
-            writer.writerow([idx, nu_chain, tableau, basis.alphabet.text_from_word(w), c, v.norm_sq])
+    writer.writerow(header)
+    writer.writerows(rows)
     return out.getvalue()
 
 
-def _write(fmt: str, obj: dict, header: list[str], rows, text: str) -> None:
-    """Write one result to stdout in the requested format: ``obj`` as
-    JSON, ``header`` and ``rows`` as CSV, or ``text`` as it is."""
-    if fmt == "json":
-        text = canonical_json(obj)
-    elif fmt == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        text = out.getvalue()
-    sys.stdout.write(text)
+def render_csv_table(table: CGTable) -> str:
+    kets = table.basis.texts()
+
+    def rows():
+        for idx, v in enumerate(table.vectors, 1):
+            nu_chain = ",".join(str(x) for x in v.chain.nu)
+            tableau = json.dumps([list(r) for r in v.tableau.rows], separators=(",", ":"))
+            for c, ket in zip(v.coeffs, kets):
+                yield [idx, nu_chain, tableau, ket, c, v.norm_sq]
+
+    return _csv(["vector_id", "nu_chain", "tableau", "ket", "coeff_numerator", "norm_sq"], rows())
+
+
+def _write(fmt: str, **render) -> None:
+    """Write one result to stdout in the requested format: ``render[fmt]()``
+    builds its text, and no other format is built."""
+    sys.stdout.write(render[fmt]())
 
 
 # ----------------------------- commands -----------------------------
 
 def cmd_basis(args: argparse.Namespace, table: CGTable) -> int:
-    if args.format == "json":
-        sys.stdout.write(canonical_json(table_to_dict(table)))
-    elif args.format == "csv":
-        sys.stdout.write(render_csv_table(table))
-    else:
-        sys.stdout.write(render_text_table(table))
+    _write(
+        args.format,
+        json=lambda: canonical_json(table_to_dict(table)),
+        csv=lambda: render_csv_table(table),
+        text=lambda: render_text_table(table),
+    )
     return 0 if table.complete else 2
 
 
@@ -237,10 +238,10 @@ def cmd_eigenvalues(args: argparse.Namespace, basis: OrbitBasis) -> int:
     pairs = spectrum(basis, k)
     _write(
         args.format,
-        {**_header(basis), "k": k, "eigenvalues": [[nu, mult] for nu, mult in pairs]},
-        ["eigenvalue", "multiplicity"],
-        pairs,
-        ", ".join(f"{nu}:{mult}" for nu, mult in pairs) + "\n",
+        json=lambda: canonical_json(
+            {**_header(basis), "k": k, "eigenvalues": [[nu, mult] for nu, mult in pairs]}),
+        csv=lambda: _csv(["eigenvalue", "multiplicity"], pairs),
+        text=lambda: ", ".join(f"{nu}:{mult}" for nu, mult in pairs) + "\n",
     )
     return 0
 
@@ -252,15 +253,14 @@ def cmd_verify(args: argparse.Namespace, table: CGTable) -> int:
     verdict = "PASS" if report.passed else "FAIL"
     _write(
         args.format,
-        {
+        json=lambda: canonical_json({
             **_header(table.basis),
             "checks": [{"name": c.name, "status": c.status, "detail": c.detail} for c in checks],
             "passed": report.passed,
             "complete": table.complete,
-        },
-        ["check", "status", "detail"],
-        ([c.name, c.status, c.detail] for c in checks),
-        "".join(line + "\n" for line in report.lines())
+        }),
+        csv=lambda: _csv(["check", "status", "detail"], ([c.name, c.status, c.detail] for c in checks)),
+        text=lambda: "".join(line + "\n" for line in report.lines())
         + f"verification: {verdict} ({len(checks)} checks, {warned} warnings)\n",
     )
     if not report.passed:

@@ -30,6 +30,13 @@ _FORBIDDEN_IN_LABEL = set(" \t,()+")
 Word = tuple[int, ...]
 
 
+def _tokens(text: str) -> list[str]:
+    """A label list's labels: its stripped comma-separated fields when it
+    has a comma, else its characters; a blank list has none."""
+    text = text.strip()
+    return [tok.strip() for tok in text.split(",")] if "," in text else list(text)
+
+
 class StateAlphabet:
     """An ordered list of distinct state labels; order is fixed for a run."""
 
@@ -50,10 +57,7 @@ class StateAlphabet:
     @classmethod
     def from_text(cls, text: str) -> "StateAlphabet":
         """Parse "abc" (single-character labels) or "alpha,beta,gamma"."""
-        text = text.strip()
-        if "," in text:
-            return cls(tok.strip() for tok in text.split(","))
-        return cls(text)
+        return cls(_tokens(text))
 
     def index(self, label: str) -> int:
         try:
@@ -68,14 +72,10 @@ class StateAlphabet:
 
     def word_from_text(self, text: str) -> Word:
         """Parse a configuration word: bare characters or comma-separated labels."""
-        text = text.strip()
-        if not text:
+        toks = _tokens(text)
+        if not toks:
             raise ValueError("empty configuration")
-        if "," in text:
-            toks = [tok.strip() for tok in text.split(",")]
-        elif self.compact:
-            toks = list(text)
-        else:
+        if "," not in text and not self.compact:
             raise ValueError(
                 f"alphabet {self.labels} has multi-character labels; "
                 "write the configuration comma-separated"
@@ -102,8 +102,7 @@ class StateAlphabet:
 
 def alphabet_for(config_text: str) -> StateAlphabet:
     """The default alphabet of a configuration: its distinct labels, sorted."""
-    text = config_text.strip()
-    toks = [t.strip() for t in text.split(",")] if "," in text else list(text)
+    toks = _tokens(config_text)
     if not toks:
         raise ValueError("empty configuration")
     return StateAlphabet(sorted(set(toks)))

@@ -266,17 +266,17 @@ def _steps(contents: tuple[int, ...]) -> list[tuple[int, int, tuple[int, ...]]]:
     return steps
 
 
-def _carry(leaves: list[_Leaf], pieces: list[_Leaf], basis: OrbitBasis) -> list[_Leaf]:
+def _carry(pieces: list[_Leaf], basis: OrbitBasis) -> list[_Leaf]:
     """Every chain leaf's pieces, carried from the pieces of its shape's
     row leaf, which the state operators split.
 
-    ``leaves`` are the chain leaves; ``pieces`` are the row leaves' pieces
-    in order.  A breadth-first walk over the standard tableaux of each
-    shape, from the row tableau, steps from T to s_a T when the axial
-    distance r = c_{a+1} - c_a has |r| >= 2.  Each piece's rows go through
-    x -> r s_a(x) - x, with s_a(x)[t] = x[sigma_a[t]] for the ket map
-    sigma_a of (a a+1), and are put in canonical form.  The result lists
-    each chain leaf's pieces in the order of its row leaf's.
+    ``pieces`` are the row leaves' pieces in order.  A breadth-first walk
+    over the standard tableaux of each shape, from the row tableau, steps
+    from T to s_a T when the axial distance r = c_{a+1} - c_a has
+    |r| >= 2.  Each piece's rows go through x -> r s_a(x) - x, with
+    s_a(x)[t] = x[sigma_a[t]] for the ket map sigma_a of (a a+1), and are
+    put in canonical form.  The result lists the leaves in walk order,
+    each leaf's pieces in the order of its row leaf's.
 
     Why this is exact:
     - act_state and act_particle commute, so every state operator
@@ -294,8 +294,8 @@ def _carry(leaves: list[_Leaf], pieces: list[_Leaf], basis: OrbitBasis) -> list[
       what _refine gives when it splits every leaf: leaf order,
       Gram-Schmidt and every output stay the same.
 
-    Raises InternalCheckError when the walk reaches no piece for some
-    chain leaf, or a carried piece's rank is not its source's.
+    Raises InternalCheckError when a carried piece loses rank, or when the
+    pieces do not span the orbit (the walk missed a tableau).
     """
     n = basis.degree
     s_maps = element_maps([transposition(a, a + 1, n) for a in range(1, n)], basis)
@@ -319,12 +319,10 @@ def _carry(leaves: list[_Leaf], pieces: list[_Leaf], basis: OrbitBasis) -> list[
                 carried.append(_Leaf(image, target[1:] + piece.labels[n - 1:], piece.remainder))
             split[target] = carried
             walk.append(target)
-    out = []
-    for leaf in leaves:
-        carried = split.get((0,) + leaf.labels)
-        if carried is None:
-            raise InternalCheckError(f"no carry reaches the chain leaf with contents {leaf.labels}")
-        out.extend(carried)
+    out = [piece for carried in split.values() for piece in carried]
+    total = sum(piece.space.dim for piece in out)
+    if total != len(basis):
+        raise InternalCheckError(f"carried pieces span {total} of the orbit's {len(basis)} dimensions")
     return out
 
 
@@ -391,14 +389,14 @@ def resolve(basis: OrbitBasis, state_ops: Sequence[Sequence[Sequence[int]]] | No
             continue
         applied.append(op)
     if applied:
-        leaves = _carry(leaves, pieces, basis)
+        leaves = _carry(pieces, basis)
 
     def nu(leaf: _Leaf) -> tuple[int, ...]:
         # nu_k is the sum of the box contents up to k
         return tuple(accumulate(leaf.labels[: n - 1]))[::-1]
 
-    # each chain leaf has its own nu and its state-operator children stay
-    # contiguous, so one stable sort gives the descending-chain order
+    # each chain leaf has its own nu and its pieces stay contiguous, so one
+    # stable sort gives the descending-chain order
     leaves.sort(key=nu, reverse=True)
     vectors: list[LabeledVector] = []
     for leaf in leaves:

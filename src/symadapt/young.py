@@ -40,9 +40,6 @@ class StandardTableau:
         """Rows rendered one per line: ["[1 2]", "[3]"]."""
         return ["[" + " ".join(str(x) for x in row) + "]" for row in self.rows]
 
-    def __str__(self) -> str:
-        return "/".join(" ".join(str(x) for x in row) for row in self.rows)
-
 
 def addable_corners(shape: Sequence[int]) -> list[tuple[int, int]]:
     """(row, content) for every cell that may be appended to ``shape``.

@@ -44,6 +44,41 @@ def test_alphabet_for_sorts_distinct_labels():
     assert alphabet_for("beta,alpha").labels == ("alpha", "beta")
 
 
+@pytest.mark.parametrize("text, labels", [
+    ("ab", ["a", "b"]),
+    (" a , b ", ["a", "b"]),
+    ("alpha,beta", ["alpha", "beta"]),
+    (" beta , alpha , alpha ", ["beta", "alpha", "alpha"]),
+])
+def test_the_label_readers_split_a_list_alike(text, labels):
+    default = alphabet_for(text)
+    assert default.labels == tuple(sorted(set(labels)))
+    assert [default.labels[i] for i in default.word_from_text(text)] == labels
+    if len(set(labels)) == len(labels):
+        assert StateAlphabet.from_text(text).labels == tuple(labels)
+    else:
+        with pytest.raises(ValueError, match="alphabet labels must be distinct"):
+            StateAlphabet.from_text(text)
+
+
+def refusal(read, text):
+    with pytest.raises(ValueError) as exc:
+        read(text)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("text, alphabet, default, word", [
+    ("", "alphabet must contain at least one state", "empty configuration", "empty configuration"),
+    ("   ", "alphabet must contain at least one state", "empty configuration", "empty configuration"),
+    ("a,,b", "invalid state label ''", "invalid state label ''",
+     "unknown state label ''; alphabet is ('a', 'b')"),
+])
+def test_the_label_readers_refuse_blank_lists_and_empty_labels(text, alphabet, default, word):
+    assert refusal(StateAlphabet.from_text, text) == alphabet
+    assert refusal(alphabet_for, text) == default
+    assert refusal(StateAlphabet("ab").word_from_text, text) == word
+
+
 def test_act_particle_examples():
     # (12)|abc> = |bac>
     assert act_particle(transposition(1, 2, 3), W("abc")) == W("bac")
