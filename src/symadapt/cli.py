@@ -20,13 +20,8 @@ import sys
 
 from .configs import OrbitBasis, StateAlphabet, alphabet_for, orbit, parse_ordering
 from .operators import class_maps, maps_to_matrix, normalize_state_pairs, state_maps
-from .solver import (
-    CGTable,
-    StateOp,
-    resolve,
-    spectrum,
-    verify_table,
-)
+from .solver import CGTable, StateOp, resolve, verify_table
+from .young import spectrum
 
 
 def parse_state_ops(text: str, alphabet: StateAlphabet) -> list[list[tuple[int, int]]]:
@@ -118,13 +113,12 @@ def coeff_text(c: int, norm_sq: int) -> str:
     return f"{c}/√{norm_sq}"
 
 
-def _vector_terms(vector, basis: OrbitBasis) -> str:
+def _vector_terms(vector, kets: list[str]) -> str:
     parts = []
-    for c, w in zip(vector.coeffs, basis.configs):
+    for c, ket in zip(vector.coeffs, kets):
         if not c:
             continue
         mag = coeff_text(abs(c), vector.norm_sq)
-        ket = f"|{basis.alphabet.text_from_word(w)}>"
         if not parts:
             parts.append(f"{'-' if c < 0 else ''}{mag} {ket}")
         else:
@@ -140,13 +134,15 @@ def render_text_table(table: CGTable) -> str:
     basis = table.basis
     alpha = basis.alphabet
     lines = [f"{key}: {value}" for key, value in _header(basis).items()]
-    lines.append("orbit: " + " ".join(basis.texts()))
+    texts = basis.texts()
+    lines.append("orbit: " + " ".join(texts))
     ops = ", ".join(_state_op_text(op, alpha) for op in table.state_ops)
     lines.append(f"state operators: {ops if ops else '(none)'}")
     if table.skipped_state_ops:
         skipped = ", ".join(_state_op_text(op, alpha) for op in table.skipped_state_ops)
         lines.append(f"skipped state operators (not invariant on every leaf): {skipped}")
     lines.append(f"complete: {'yes' if table.complete else 'no'}")
+    kets = [f"|{text}>" for text in texts]
     for idx, v in enumerate(table.vectors):
         lines.append("")
         head = f"vector {idx + 1}: nu={_labels_text(v.chain.nu)} state={_labels_text(v.chain.state_labels)}"
@@ -154,7 +150,7 @@ def render_text_table(table: CGTable) -> str:
             head += " [unlabeled]"
         lines.append(head)
         lines.extend("  " + row for row in v.tableau.bracket_lines())
-        lines.append("  " + _vector_terms(v, basis))
+        lines.append("  " + _vector_terms(v, kets))
     return "\n".join(lines) + "\n"
 
 

@@ -3,13 +3,12 @@
 resolve() splits the orbit space into joint integer eigenspaces of the
 Jucys-Murphy elements X(k) = (1 k) + ... + (k-1 k), k = 2..n, then lifts
 any remaining multiplicity with state-permutation operators; one routine,
-_refine, applies every operator, and spectrum() reads the C(k) spectrum
-off the same chain.  _refine chooses the candidate eigenvalues and the
-labels; linalg.split does the linear algebra of each split.  A state
-operator commutes with S_n, so it splits only each shape's row leaf, and
-_carry takes that split to the shape's other leaves by Young's
-seminormal form.  Every one-dimensional piece
-becomes a labeled basis vector: its eigenvalue chain, the standard Young
+_refine, applies every operator.  _refine chooses the candidate
+eigenvalues and the labels; linalg.split does the linear algebra of each
+split.  A state operator commutes with S_n, so it splits only each
+shape's row leaf, and _carry takes that split to the shape's other leaves
+by Young's seminormal form.  Every one-dimensional piece becomes a
+labeled basis vector: its eigenvalue chain, the standard Young
 tableau the chain encodes, and exact integer coefficients c with an
 implied overall factor 1/sqrt(norm_sq).  The coefficient table read off
 this basis is the coupling-coefficient table of the configuration.
@@ -235,12 +234,12 @@ def _gram_schmidt(rows: Sequence[Sequence[int]]) -> list[Sequence[int]]:
     return [v for v, _ in basis]
 
 
-def _chain(basis: OrbitBasis, k: int) -> list[_Leaf]:
-    """The orbit split into joint eigenspaces of X(2), ..., X(k); each
-    leaf's labels are its first k - 1 box contents."""
+def _chain(basis: OrbitBasis) -> list[_Leaf]:
+    """The orbit split into joint eigenspaces of X(2), ..., X(n); each
+    leaf's labels are its n - 1 box contents after the first."""
     d = len(basis)
     leaves = [_Leaf(Subspace.full(d), ())]
-    for j in range(2, k + 1):
+    for j in range(2, basis.degree + 1):
         try:
             leaves = _refine(leaves, jm_maps(j, basis), f"X({j})", _corner_contents)
         except NotInvariantError as exc:
@@ -326,17 +325,6 @@ def _carry(pieces: list[_Leaf], basis: OrbitBasis) -> list[_Leaf]:
     return out
 
 
-def spectrum(basis: OrbitBasis, k: int) -> list[tuple[int, int]]:
-    """Realized eigenvalues of C(k) on the orbit with multiplicities,
-    rarest first, ties broken by descending eigenvalue.  C(k) acts on a
-    chain leaf as the sum of its box contents."""
-    counts: dict[int, int] = {}
-    for leaf in _chain(basis, k):
-        nu = sum(leaf.labels)
-        counts[nu] = counts.get(nu, 0) + leaf.space.dim
-    return sorted(counts.items(), key=lambda pair: (pair[1], -pair[0]))
-
-
 def resolve(basis: OrbitBasis, state_ops: Sequence[Sequence[Sequence[int]]] | None = None) -> CGTable:
     """Resolve an orbit into labeled symmetry-adapted basis vectors.
 
@@ -367,7 +355,7 @@ def resolve(basis: OrbitBasis, state_ops: Sequence[Sequence[Sequence[int]]] | No
     auto = not state_ops
     ops_queue = (default_state_ops(basis) if auto
                  else [normalize_state_pairs(op, basis) for op in state_ops])
-    leaves = _chain(basis, n)
+    leaves = _chain(basis)
     # the state operators split only each shape's row leaf, whose tableau
     # holds 1..n read row by row; _carry takes the split to the other leaves
     row_order = list(range(1, n + 1))
@@ -654,7 +642,6 @@ __all__ = [
     "normalize",
     "default_state_ops",
     "resolve",
-    "spectrum",
     "verify_table",
     "VerifyReport",
     "Check",

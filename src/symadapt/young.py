@@ -8,8 +8,9 @@ path.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 
 @dataclass(frozen=True)
@@ -97,9 +98,40 @@ def tableau_from_chain(nu: Sequence[int]) -> StandardTableau:
     return StandardTableau(rows_from_contents(contents))
 
 
+def spectrum(words: Iterable[Sequence[int]], k: int) -> list[tuple[int, int]]:
+    """Realized eigenvalues of C(k) on the span of the kets ``words``, with
+    multiplicities, rarest first, ties broken by descending eigenvalue: a
+    ket adds 1 at the content sum of the shape that row insertion
+    (Schensted) builds from its first k letters.  This is exact because:
+    - row insertion maps the words of content alpha one to one onto pairs
+      (semistandard P of content alpha, standard Q) of one shape, so a
+      shape lambda occurs K(lambda, alpha) f^lambda times among them;
+    - restricted to S_k, an orbit of content mu is the sum over alpha of
+      C(n - k; mu - alpha) copies of M^alpha, one per arrangement of the
+      last n - k letters, and M^alpha holds S^lambda K(lambda, alpha) times;
+    - C(k) acts on S^lambda as the content sum of lambda.
+    """
+    counts: dict[int, int] = {}
+    for word in words:
+        rows: list[list[int]] = []
+        for x in word[:k]:
+            for row in rows:
+                i = bisect_right(row, x)
+                if i == len(row):
+                    row.append(x)
+                    break
+                row[i], x = x, row[i]
+            else:
+                rows.append([x])
+        nu = sum(c - r for r, row in enumerate(rows) for c in range(len(row)))
+        counts[nu] = counts.get(nu, 0) + 1
+    return sorted(counts.items(), key=lambda pair: (pair[1], -pair[0]))
+
+
 __all__ = [
     "StandardTableau",
     "addable_corners",
     "rows_from_contents",
+    "spectrum",
     "tableau_from_chain",
 ]

@@ -669,7 +669,7 @@ def resolve_reference(basis, state_ops=None) -> CGTable:
     auto = not state_ops
     ops_queue = (default_state_ops(basis) if auto
                  else [normalize_state_pairs(op, basis) for op in state_ops])
-    leaves = _chain(basis, n)
+    leaves = _chain(basis)
     applied, skipped = [], []
     for i, op in enumerate(ops_queue):
         if auto and not any(lf.space.dim > 1 and not lf.remainder for lf in leaves):

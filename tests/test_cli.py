@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import pytest
 
-from symadapt import cli, operators
+from symadapt import cli, linalg, operators, solver
 from symadapt.cli import canonical_json, main, parse_state_ops
 from symadapt.configs import StateAlphabet
 
@@ -427,11 +427,22 @@ def test_verify_fails_young_orthogonal_form_on_a_cross_block_mix(config, monkeyp
 
 
 def test_eigenvalues_rejects_state_ops(capsys):
-    # eigenvalues reads the X(k) chain only, so it offers no --state-ops
+    # state operators play no part in the C(k) spectrum, so eigenvalues offers no --state-ops
     with pytest.raises(SystemExit) as exc:
         main(["eigenvalues", "--config", "abcd", "--k", "3", "--state-ops", "(a b)"])
     assert exc.value.code == 1
     assert "unrecognized arguments: --state-ops" in capsys.readouterr().err
+
+
+def test_eigenvalues_solves_nothing(monkeypatch, capsys):
+    # the spectrum is counted off row-insertion shapes: no chain, no kernel
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigenvalues reached the eliminating code path")
+
+    monkeypatch.setattr(solver, "_chain", refuse)
+    monkeypatch.setattr(linalg, "kernel", refuse)
+    code, out, err = run_cli(["eigenvalues", "--config", "aabbcd", "--k", "6"], capsys)
+    assert (code, out, err) == (0, "15:1, -5:9, 9:15, -3:15, 5:36, 3:40, 0:64\n", "")
 
 
 def test_cli_import_loads_no_rational_arithmetic():

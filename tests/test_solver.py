@@ -16,10 +16,9 @@ from symadapt.solver import (
     default_state_ops,
     normalize,
     resolve,
-    spectrum,
     verify_table,
 )
-from symadapt.young import tableau_from_chain
+from symadapt.young import spectrum, tableau_from_chain
 
 from helpers import make_basis, random_permutation, s3_distinct_basis
 from oracles import (
@@ -361,7 +360,7 @@ def test_leaves_are_canonical_and_remainders_match_intersect():
     # remainder in leaf coordinates; both must give the canonical rows
     # that ambient elimination gives
     basis = make_basis("abcd")
-    chain = solver._chain(basis, 4)
+    chain = solver._chain(basis)
     maps = state_maps([(0, 1), (1, 2), (2, 3)], basis)
     leaves = solver._refine(chain, maps, "path", lambda leaf: range(3, -4, -1))
     for leaf in leaves:
@@ -422,6 +421,17 @@ SPECTRUM_CASES = [
 
 @pytest.mark.parametrize("config,k", SPECTRUM_CASES)
 def test_spectrum_matches_dense_oracle(config, k):
-    # the chain's leaf contents against dense C(k) eigenspaces
+    # the row-insertion count against dense C(k) eigenspaces
     basis = make_basis(config)
     assert spectrum(basis, k) == spectrum_reference(basis, k)
+
+
+@pytest.mark.parametrize("pattern", [p for n in range(2, 7) for p in partitions_of(n)])
+def test_spectrum_matches_the_resolved_chain_labels(pattern):
+    # the row-insertion count against the nu_k labels resolve() writes
+    basis = make_basis("".join(c * m for c, m in zip("abcdef", pattern)))
+    n = basis.degree
+    vectors = resolve(basis).vectors
+    for k in range(2, n + 1):
+        counts = Counter(v.chain.nu[n - k] for v in vectors)
+        assert spectrum(basis, k) == sorted(counts.items(), key=lambda pair: (pair[1], -pair[0]))

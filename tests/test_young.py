@@ -1,7 +1,8 @@
 import pytest
 
-from symadapt.young import StandardTableau, addable_corners, tableau_from_chain
+from symadapt.young import StandardTableau, addable_corners, spectrum, tableau_from_chain
 
+from helpers import make_basis
 from oracles import content_sum, partitions_of, standard_tableaux
 
 
@@ -75,3 +76,20 @@ def test_standard_tableaux_oracle_agrees_with_hook_counts():
     assert len(standard_tableaux((2, 2))) == 2
     assert len(standard_tableaux((3, 2))) == 5
     assert len(standard_tableaux((2, 2, 1))) == 5
+
+
+@pytest.mark.parametrize("config", ["aab", "abcd", "aabbc", "aaabcd", "aabbcd"])
+def test_spectrum_ignores_ordering_and_label_names(config):
+    # the count reads each ket's letters, so neither the orbit's order, the
+    # alphabet's order nor the label spelling may move it
+    letters = sorted(set(config))
+    basis = make_basis(config)
+    reordered = basis.with_ordering(basis.configs[::-1])
+    reversed_alphabet = make_basis(config, alphabet="".join(reversed(letters)))
+    names = {c: f"{c}{c}x" for c in letters}
+    spelled = make_basis(",".join(names[c] for c in config))
+    for k in range(2, len(config) + 1):
+        want = spectrum(basis, k)
+        assert spectrum(reordered, k) == want
+        assert spectrum(reversed_alphabet, k) == want
+        assert spectrum(spelled, k) == want
