@@ -193,9 +193,7 @@ class Subspace:
 
 
 def restrict_apply(
-    apply_int: Callable[[Sequence[int]], list[int]],
-    space: Subspace,
-    label: str = "operator",
+    apply_int: Callable[[Sequence[int]], list[int]], space: Subspace
 ) -> tuple[IntRow, ...]:
     """Integer block A of a linear map on an invariant subspace.
 
@@ -231,8 +229,7 @@ def restrict_apply(
                     z[t] -= a * x
         if any(z):
             raise NotInvariantError(
-                f"{label} does not leave the subspace invariant", tuple(image)
-            )
+                "the operator does not leave the subspace invariant", tuple(image))
         cols.append(col)
     return tuple(zip(*cols))
 
@@ -252,13 +249,14 @@ def eigenrows_of_block(
 
 
 def split(
-    space: Subspace, block: Matrix, candidates: Sequence[int]
+    space: Subspace, apply_int: Callable[[Sequence[int]], list[int]], candidates: Sequence[int]
 ) -> tuple[list[Subspace], Subspace | None]:
-    """One operator's eigenspaces in the invariant subspace ``space``, read
-    off its restrict_apply ``block``: a Subspace per candidate eigenvalue,
-    in order (zero-dimensional for a candidate that is no eigenvalue), and
-    the part of ``space`` orthogonal to all of them, or None when they fill
-    (or overfill) it.
+    """One operator's eigenspaces in the invariant subspace ``space``: a
+    Subspace per candidate eigenvalue, in order (zero-dimensional for a
+    candidate that is no eigenvalue), and the part of ``space`` orthogonal
+    to all of them, or None when they fill (or overfill) it.  The operator
+    is its integer action ``apply_int``, whose block restrict_apply reads
+    (NotInvariantError when ``space`` is not invariant).
 
     Both are kernels in ``space``'s coordinates.  Coordinate rows and
     ``space``'s rows are RREF with positive pivots, so a coordinate row with
@@ -267,6 +265,7 @@ def split(
     x lie in the remainder when sum_i x_i (z_i . c) = 0 over the rows z_i of
     ``space``, for every eigenspace row c.
     """
+    block = restrict_apply(apply_int, space)
     # (column, entry) over the nonzero entries of each row, built once
     support = [[(t, x) for t, x in enumerate(row) if x] for row in space.rows]
 

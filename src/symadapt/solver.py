@@ -33,7 +33,7 @@ from math import lcm
 from typing import Callable, Sequence
 
 from .configs import OrbitBasis
-from .linalg import NotInvariantError, Subspace, dot, primitive, restrict_apply, split
+from .linalg import NotInvariantError, Subspace, dot, primitive, split
 from .operators import (
     apply_maps,
     element_maps,
@@ -42,7 +42,8 @@ from .operators import (
     state_maps,
 )
 from .perm import Permutation, transposition
-from .young import StandardTableau, addable_corners, rows_from_contents, tableau_from_chain
+from .young import (StandardTableau, addable_corners, chain_contents, rows_from_contents, steps,
+                    tableau_from_chain)
 
 StateOp = tuple[tuple[int, int], ...]
 
@@ -183,24 +184,18 @@ def _refine(
 
     ``cands(leaf)`` lists the eigenvalues to try on a leaf; children keep
     that order and append their eigenvalue to the leaf's labels.  The
-    operator's block is read on every live leaf before any leaf is split,
-    so a NotInvariantError leaves the partition as it was.  Whatever the
-    candidates leave uncovered (irrational eigenvalues) is split's
-    orthogonal remainder and becomes a frozen remainder leaf that keeps
-    the parent's labels.
+    result is a new list, so a NotInvariantError on any leaf leaves the
+    caller's partition as it was.  Whatever the candidates leave uncovered
+    (irrational eigenvalues) is split's orthogonal remainder and becomes a
+    frozen remainder leaf that keeps the parent's labels.
     """
-    blocks = [
-        None if leaf.remainder
-        else restrict_apply(lambda v: apply_maps(maps, v), leaf.space, label)
-        for leaf in leaves
-    ]
     out = []
-    for leaf, block in zip(leaves, blocks):
-        if block is None:
+    for leaf in leaves:
+        if leaf.remainder:
             out.append(leaf)
             continue
         values = cands(leaf)
-        pieces, rem = split(leaf.space, block, values)
+        pieces, rem = split(leaf.space, lambda v: apply_maps(maps, v), values)
         total = sum(piece.dim for piece in pieces)
         if total > leaf.space.dim:
             raise InternalCheckError(f"{label}: eigenspaces overfill the leaf")
@@ -252,30 +247,17 @@ def _chain(basis: OrbitBasis) -> list[_Leaf]:
     return leaves
 
 
-def _steps(contents: tuple[int, ...]) -> list[tuple[int, int, tuple[int, ...]]]:
-    """(a, r, contents of s_a T) for every adjacent transposition s_a that
-    takes the standard tableau T with box contents ``contents`` (c_1, ...,
-    c_n) to another standard tableau: exactly those whose axial distance
-    r = c_{a+1} - c_a has |r| >= 2."""
-    steps = []
-    for a in range(1, len(contents)):
-        r = contents[a] - contents[a - 1]
-        if abs(r) >= 2:
-            steps.append((a, r, contents[:a - 1] + (contents[a], contents[a - 1]) + contents[a + 1:]))
-    return steps
-
-
 def _carry(pieces: list[_Leaf], basis: OrbitBasis) -> list[_Leaf]:
     """Every chain leaf's pieces, carried from the pieces of its shape's
     row leaf, which the state operators split.
 
     ``pieces`` are the row leaves' pieces in order.  A breadth-first walk
-    over the standard tableaux of each shape, from the row tableau, steps
-    from T to s_a T when the axial distance r = c_{a+1} - c_a has
-    |r| >= 2.  Each piece's rows go through x -> r s_a(x) - x, with
-    s_a(x)[t] = x[sigma_a[t]] for the ket map sigma_a of (a a+1), and are
-    put in canonical form.  The result lists the leaves in walk order,
-    each leaf's pieces in the order of its row leaf's.
+    over the standard tableaux of each shape, from the row tableau, takes
+    every step T -> s_a T that young.steps finds.  Each piece's rows go
+    through x -> r s_a(x) - x, with s_a(x)[t] = x[sigma_a[t]] for the ket
+    map sigma_a of (a a+1), and are put in canonical form.  The result
+    lists the leaves in walk order, each leaf's pieces in the order of its
+    row leaf's.
 
     Why this is exact:
     - act_state and act_particle commute, so every state operator
@@ -303,8 +285,8 @@ def _carry(pieces: list[_Leaf], basis: OrbitBasis) -> list[_Leaf]:
         split.setdefault((0,) + piece.labels[:n - 1], []).append(piece)
     walk = list(split)
     for contents in walk:  # the walk grows as it goes: breadth first
-        for a, r, target in _steps(contents):
-            if target in split:
+        for a, r, target in steps(contents):
+            if target is None or target in split:
                 continue
             sigma = s_maps[a - 1]
             carried = []
@@ -439,30 +421,25 @@ def _failed_relations(table: CGTable, s_maps: Sequence[tuple[int, ...]]) -> list
     """The (vector, a) pairs that break Young's orthogonal form for
     s_a = (a a+1), whose ket map is s_maps[a - 1]; see verify_table."""
     vecs = table.vectors
-    n = table.basis.degree
-    # per record: its nonzero vectors g, each weighted by L / (g . g), and L
+    # per record, by box contents and state labels: its nonzero vectors g,
+    # each weighted by L / (g . g), and L
     groups = {}
     for chain, mates in table.records.items():
         squares = [(vecs[b].coeffs, dot(vecs[b].coeffs, vecs[b].coeffs)) for b in mates]
         big = lcm(*(sq for _, sq in squares if sq))
-        groups[chain] = [(g, big // sq) for g, sq in squares if sq], big
+        key = chain_contents(chain.nu), chain.state_labels
+        groups[key] = [(g, big // sq) for g, sq in squares if sq], big
     inverses = [_inverse(sigma) for sigma in s_maps]
     failed = []
     for i, v in enumerate(vecs):
-        nu, coeffs = v.chain.nu, v.coeffs
-        sums = (0, *reversed(nu))  # nu_1, ..., nu_n
-        contents = [q - p for p, q in zip((0, *sums), sums)]  # c_1, ..., c_n
-        for a, inv in enumerate(inverses, start=1):
-            r = contents[a] - contents[a - 1]
+        coeffs = v.coeffs
+        for (a, r, target), inv in zip(steps(chain_contents(v.chain.nu)), inverses):
             # s_a(c)[t] = c[inv[t]]
             u = [r * coeffs[s] - x for s, x in zip(inv, coeffs)]
-            if abs(r) == 1:
+            if target is None:
                 held = not any(u)
             else:
-                # s_a T's chain: nu_a becomes nu_a + r, at position n - a
-                partner = LabelChain(nu[:n - a] + (nu[n - a] + r,) + nu[n - a + 1:],
-                                     v.chain.state_labels)
-                mates, big = groups.get(partner, ((), 1))
+                mates, big = groups.get((target, v.chain.state_labels), ((), 1))
                 held = sum(dot(u, g) ** 2 * w for g, w in mates) == dot(u, u) * big
             if not held:
                 failed.append((i, a))

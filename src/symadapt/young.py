@@ -84,18 +84,35 @@ def tableau_from_chain(nu: Sequence[int]) -> StandardTableau:
     """The unique standard tableau whose box contents follow a chain.
 
     ``nu`` is the eigenvalue chain (nu_n, ..., nu_2) of the class-sum
-    operators C(n), ..., C(2); box j then has content nu_j - nu_{j-1}
-    with nu_1 = 0, and rows_from_contents places it, raising ValueError
-    when the chain is not realizable.
+    operators C(n), ..., C(2); rows_from_contents places chain_contents(nu),
+    raising ValueError when the chain is not realizable.
 
     >>> tableau_from_chain((3, 1)).rows
     ((1, 2, 3),)
     >>> tableau_from_chain((0, -1)).rows
     ((1, 3), (2,))
     """
+    return StandardTableau(rows_from_contents(chain_contents(nu)))
+
+
+def chain_contents(nu: Sequence[int]) -> tuple[int, ...]:
+    """The box contents (c_1, ..., c_n) that the chain (nu_n, ..., nu_2)
+    spells: c_j = nu_j - nu_{j-1}, with nu_1 = 0 and so c_1 = 0."""
     sums = (0, *reversed(tuple(nu)))  # nu_1, nu_2, ..., nu_n
-    contents = (0, *(b - a for a, b in zip(sums, sums[1:])))
-    return StandardTableau(rows_from_contents(contents))
+    return (0, *(b - a for a, b in zip(sums, sums[1:])))
+
+
+def steps(contents: tuple[int, ...]) -> list[tuple[int, int, tuple[int, ...] | None]]:
+    """(a, r, contents of s_a T) for every s_a = (a a+1) on the standard
+    tableau T with box contents ``contents`` (c_1, ..., c_n): the axial
+    distance r = c_{a+1} - c_a, and c_a swapped with c_{a+1} when |r| >= 2,
+    else None (s_a T is not standard)."""
+    out = []
+    for a in range(1, len(contents)):
+        r = contents[a] - contents[a - 1]
+        swapped = contents[:a - 1] + (contents[a], contents[a - 1]) + contents[a + 1:]
+        out.append((a, r, swapped if abs(r) >= 2 else None))
+    return out
 
 
 def spectrum(words: Iterable[Sequence[int]], k: int) -> list[tuple[int, int]]:
@@ -131,7 +148,9 @@ def spectrum(words: Iterable[Sequence[int]], k: int) -> list[tuple[int, int]]:
 __all__ = [
     "StandardTableau",
     "addable_corners",
+    "chain_contents",
     "rows_from_contents",
     "spectrum",
+    "steps",
     "tableau_from_chain",
 ]

@@ -9,9 +9,11 @@ Fraction Bessel sums instead of chain arithmetic for Young's orthogonal
 form, Fraction Parseval sums instead of integer block sums, C(k) and X(j)
 applied term by term, maps of composed permutations instead of Coxeter
 relations, dense C(k) eigenspaces instead of the Jucys-Murphy chain's
-leaves, state operators refined on every chain leaf instead of carried
-from each shape's row leaf (resolve_reference), and a span as the
-kernel of its kernel instead of one elimination (span_reference).
+leaves, every integer in [-(j - 1), j - 1] tried as an X(j) eigenvalue
+instead of the addable-corner contents (chain_reference), state
+operators refined on every chain leaf instead of carried from each
+shape's row leaf (resolve_reference), and a span as the kernel of its
+kernel instead of one elimination (span_reference).
 
 The dense representation lives here too.  The package holds every
 operator as ket maps and every subspace as integer rows; the tests check
@@ -34,7 +36,14 @@ from math import gcd, lcm
 
 from symadapt.configs import act_particle, act_state
 from symadapt.linalg import NotInvariantError, Subspace, _jordan, kernel, restrict_apply
-from symadapt.operators import element_maps, ket_map, maps_to_matrix, normalize_state_pairs, state_maps
+from symadapt.operators import (
+    element_maps,
+    jm_maps,
+    ket_map,
+    maps_to_matrix,
+    normalize_state_pairs,
+    state_maps,
+)
 from symadapt.perm import Permutation, transposition
 from symadapt.solver import (
     CGTable,
@@ -42,7 +51,7 @@ from symadapt.solver import (
     LabelChain,
     LabeledVector,
     VerifyReport,
-    _chain,
+    _Leaf,
     _gram_schmidt,
     _refine,
     default_state_ops,
@@ -140,7 +149,7 @@ def restrict(matrix, space: Subspace) -> tuple[tuple[Fraction, ...], ...]:
     def apply_int(vec):
         return [sum(int(a) * x for a, x in zip(row, vec) if a) for row in matrix]
 
-    block = restrict_apply(apply_int, space, "matrix")
+    block = restrict_apply(apply_int, space)
     return tuple(
         tuple(Fraction(a, lead) for a in row) for row, lead in zip(block, space.leads)
     )
@@ -661,6 +670,17 @@ def block_structure_reference(table, elements) -> Check:
     return Check("block_structure", "PASS")
 
 
+def chain_reference(basis) -> list[_Leaf]:
+    """The orbit split by X(2), ..., X(n) through _refine, trying every
+    integer from j - 1 down to -(j - 1) as an X(j) eigenvalue on every leaf
+    instead of the contents of the leaf shape's addable corners."""
+    leaves = [_Leaf(Subspace.full(len(basis)), ())]
+    for j in range(2, basis.degree + 1):
+        cands = tuple(range(j - 1, -j, -1))
+        leaves = _refine(leaves, jm_maps(j, basis), f"X({j})", lambda leaf: cands)
+    return leaves
+
+
 def resolve_reference(basis, state_ops=None) -> CGTable:
     """resolve() with every state operator refining every chain leaf
     through _refine, instead of splitting each shape's row leaf and
@@ -669,7 +689,7 @@ def resolve_reference(basis, state_ops=None) -> CGTable:
     auto = not state_ops
     ops_queue = (default_state_ops(basis) if auto
                  else [normalize_state_pairs(op, basis) for op in state_ops])
-    leaves = _chain(basis)
+    leaves = chain_reference(basis)
     applied, skipped = [], []
     for i, op in enumerate(ops_queue):
         if auto and not any(lf.space.dim > 1 and not lf.remainder for lf in leaves):

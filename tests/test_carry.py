@@ -92,8 +92,8 @@ def test_no_state_operator_runs_no_carry(monkeypatch):
 def test_a_walk_that_drops_a_step_is_refused(monkeypatch):
     # (2, 1) has two standard tableaux, joined only by s_2; the leaf the
     # walk misses holds 2 of the orbit's 6 dimensions
-    real = solver._steps
-    monkeypatch.setattr(solver, "_steps", lambda contents: [s for s in real(contents) if s[0] != 2])
+    real = solver.steps
+    monkeypatch.setattr(solver, "steps", lambda contents: [s for s in real(contents) if s[0] != 2])
     with pytest.raises(InternalCheckError, match="span 4 of the orbit's 6 dimensions"):
         resolve(make_basis("abc"), [[(0, 1)]])
 

@@ -6,7 +6,7 @@ from dataclasses import fields, replace
 import pytest
 
 from symadapt import solver
-from symadapt.linalg import Subspace, dot, intersect, kernel
+from symadapt.linalg import NotInvariantError, Subspace, dot, intersect, kernel
 from symadapt.operators import apply_maps, element_maps, state_maps
 from symadapt.solver import (
     CGTable,
@@ -22,6 +22,7 @@ from symadapt.young import spectrum, tableau_from_chain
 
 from helpers import make_basis, random_permutation, s3_distinct_basis
 from oracles import (
+    chain_reference,
     from_rows,
     kostka,
     partitions_of,
@@ -360,7 +361,7 @@ def test_leaves_are_canonical_and_remainders_match_intersect():
     # remainder in leaf coordinates; both must give the canonical rows
     # that ambient elimination gives
     basis = make_basis("abcd")
-    chain = solver._chain(basis)
+    chain = chain_reference(basis)
     maps = state_maps([(0, 1), (1, 2), (2, 3)], basis)
     leaves = solver._refine(chain, maps, "path", lambda leaf: range(3, -4, -1))
     for leaf in leaves:
@@ -384,6 +385,22 @@ def test_leaves_are_canonical_and_remainders_match_intersect():
         # pieces and the remainder fill the parent leaf
         assert all(dot(z, c) == 0 for z in rem.space.rows for c in rows)
         assert rem.space.dim + len(rows) == parent.space.dim
+
+
+def test_refine_leaves_the_partition_as_it_was_when_a_later_leaf_fails():
+    # the swap of two kets keeps the line through (1, 1) and splits it; it
+    # moves (1, 0) out of its line, so the second leaf raises
+    leaves = [solver._Leaf(from_rows(2, [row]), (7,)) for row in [(1, 1), (1, 0)]]
+
+    def state():
+        return [(id(leaf), leaf.space.rows, leaf.labels, leaf.remainder) for leaf in leaves]
+
+    before = state()
+    first = solver._refine(leaves[:1], [(1, 0)], "swap", lambda leaf: (1, -1))
+    assert [leaf.labels for leaf in first] == [(7, 1)]
+    with pytest.raises(NotInvariantError):
+        solver._refine(leaves, [(1, 0)], "swap", lambda leaf: (1, -1))
+    assert state() == before
 
 
 def test_sum_operator_labels_beyond_plus_minus_one():

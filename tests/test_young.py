@@ -1,6 +1,16 @@
+from itertools import accumulate
+
 import pytest
 
-from symadapt.young import StandardTableau, addable_corners, spectrum, tableau_from_chain
+from symadapt.young import (
+    StandardTableau,
+    addable_corners,
+    chain_contents,
+    rows_from_contents,
+    spectrum,
+    steps,
+    tableau_from_chain,
+)
 
 from helpers import make_basis
 from oracles import content_sum, partitions_of, standard_tableaux
@@ -67,6 +77,37 @@ def test_tableau_from_chain_inverts_content_reading():
                     partial += content[entry]
                     chain.append(partial)
                 assert tableau_from_chain(tuple(reversed(chain))) == tab
+
+
+def _contents(rows) -> tuple[int, ...]:
+    """Box contents c_1, ..., c_n read off a filling by position."""
+    at = {x: c - r for r, row in enumerate(rows) for c, x in enumerate(row)}
+    return tuple(at[x] for x in range(1, len(at) + 1))
+
+
+def test_steps_and_chain_contents_agree_with_every_tableau():
+    # every standard tableau up to 6 boxes: swapping the entries a and a+1
+    # gives a standard tableau exactly when steps finds |r| >= 2, with the
+    # contents steps reports; its chain decodes back to its contents
+    for n in range(1, 7):
+        for shape in partitions_of(n):
+            for rows in standard_tableaux(shape):
+                contents = _contents(rows)
+                found = steps(contents)
+                assert [(a, r) for a, r, _ in found] == [
+                    (a, contents[a] - contents[a - 1]) for a in range(1, n)]
+                for a, r, target in found:
+                    swap = {a: a + 1, a + 1: a}
+                    swapped = tuple(tuple(swap.get(x, x) for x in row) for row in rows)
+                    try:
+                        standard = bool(StandardTableau(swapped))
+                    except ValueError:
+                        standard = False
+                    assert standard == (abs(r) >= 2) == (target is not None)
+                    assert target is None or target == _contents(swapped)
+                nu = tuple(accumulate(contents))[:0:-1]  # nu_n, ..., nu_2
+                assert chain_contents(nu) == contents
+                assert rows_from_contents(chain_contents(nu)) == tableau_from_chain(nu).rows == rows
 
 
 def test_standard_tableaux_oracle_agrees_with_hook_counts():
