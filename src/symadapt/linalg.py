@@ -6,11 +6,11 @@ A Subspace holds its basis as integer rows in reduced row echelon form,
 each in primitive() form (gcd 1, first nonzero entry, its pivot,
 positive) and zero in the other rows' pivot columns.  That form is
 canonical, so subspace equality is plain structural equality.
-Elimination runs fraction-free over Python integers with per-row gcd
-reduction.  kernel() and Subspace.from_rows each reach the canonical form
-in one elimination (see there); split() solves eigenspaces and the
-orthogonal remainder as kernels in a subspace's coordinates and lifts
-them without another.
+Elimination runs fraction-free over Python integers, and primitive()
+divides each combined row by its gcd.  kernel() and Subspace.from_rows
+each reach the canonical form in one elimination (see there); split()
+solves eigenspaces and the orthogonal remainder as kernels in a
+subspace's coordinates and lifts them without another.
 """
 from __future__ import annotations
 
@@ -49,25 +49,14 @@ def primitive(row: Sequence[int]) -> IntRow:
     return tuple(row) if g == 1 else tuple([a // g for a in row])
 
 
-def _reduce_row(row: list[int]) -> list[int]:
-    g = 0
-    for a in row:
-        if a:
-            g = gcd(g, a)
-            if g == 1:
-                return row
-    if g > 1:
-        return [a // g for a in row]
-    return row
-
-
 def _jordan(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     """In-place fraction-free Gauss-Jordan elimination over the integers.
 
     Returns the reduced rows (pivot rows first, in pivot-column order,
-    zero rows last) and the list of pivot columns.  Pivot rows are not
-    normalized: row i has some nonzero integer at pivots[i] and zeros in
-    every other pivot column.
+    zero rows last) and the list of pivot columns.  Each nonzero combined
+    row is put in primitive() form; kernel() and Subspace.from_rows read
+    only its ratios.  Row i has some nonzero integer at pivots[i] and
+    zeros in every other pivot column.
     """
     nrows = len(rows)
     if nrows == 0:
@@ -91,8 +80,8 @@ def _jordan(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
             f = rows[i][c]
             if not f:
                 continue
-            row = rows[i]
-            rows[i] = _reduce_row([piv * a - f * b for a, b in zip(row, prow)])
+            combined = [piv * a - f * b for a, b in zip(rows[i], prow)]
+            rows[i] = primitive(combined) if any(combined) else combined
         pivots.append(c)
         r += 1
         if r == nrows:

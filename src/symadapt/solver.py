@@ -148,25 +148,34 @@ def normalize(vec: Sequence[int]) -> tuple[tuple[int, ...], int]:
 
 
 def default_state_ops(basis: OrbitBasis) -> list[StateOp]:
-    """The automatic degeneracy lifters: one state transposition per pair of
-    states with equal (nonzero) multiplicity, in lexicographic label order."""
+    """The automatic degeneracy lifters: the swaps of two states with equal
+    (nonzero) multiplicity, in lexicographic label order, less every swap
+    that shares a state with an earlier one.
+
+    Disjoint swaps commute, and every state swap commutes with S_n, so
+    each lifter keeps every piece that the chain and the earlier lifters
+    leave: resolve() never skips one.  tests/oracles.py keeps every such
+    swap, tried in turn, as trial_state_ops; the tests check that both
+    give the same tables.
+    """
     labels = basis.alphabet.labels
     mults = basis.multiplicities()
-    pairs = [
-        (i, j)
-        for i in range(len(labels))
-        for j in range(i + 1, len(labels))
-        if mults[i] == mults[j] and mults[i] > 0
-    ]
-    pairs.sort(key=lambda p: (labels[p[0]], labels[p[1]]))
-    return [((i, j),) for i, j in pairs]
+    pairs = sorted(((i, j) for i in range(len(labels)) for j in range(i + 1, len(labels))
+                    if mults[i] == mults[j] > 0), key=lambda p: (labels[p[0]], labels[p[1]]))
+    ops, used = [], set()
+    for i, j in pairs:
+        if i not in used and j not in used:
+            used |= {i, j}
+            ops.append(((i, j),))
+    return ops
 
 
 @dataclass
 class _Leaf:
     """A piece of the partition: the eigenvalues of the operators applied
     so far (the X(2), ..., X(k) box contents, then the state-operator
-    eigenvalues), or a frozen remainder that later operators skip."""
+    eigenvalues), or a frozen remainder, which only a user state operator
+    leaves and later operators skip."""
 
     space: Subspace
     labels: tuple[int, ...]
@@ -184,10 +193,11 @@ def _refine(
 
     ``cands(leaf)`` lists the eigenvalues to try on a leaf; children keep
     that order and append their eigenvalue to the leaf's labels.  The
-    result is a new list, so a NotInvariantError on any leaf leaves the
-    caller's partition as it was.  Whatever the candidates leave uncovered
-    (irrational eigenvalues) is split's orthogonal remainder and becomes a
-    frozen remainder leaf that keeps the parent's labels.
+    result is a new list, so a NotInvariantError on any leaf, which only a
+    user state operator raises, leaves the caller's partition as it was.
+    Whatever the candidates leave uncovered (a user operator's irrational
+    eigenvalues) is split's orthogonal remainder and becomes a frozen
+    remainder leaf that keeps the parent's labels.
     """
     out = []
     for leaf in leaves:
@@ -270,7 +280,7 @@ def _carry(pieces: list[_Leaf], basis: OrbitBasis) -> list[_Leaf]:
       the same dimensions.  An operator is invariant on the row leaf's
       pieces exactly when it is invariant on every leaf's pieces, so
       splitting only the row leaves changes neither the auto loop's stop
-      nor its skip decisions.
+      nor which user operators are skipped.
     - Canonical RREF is unique, so the carried pieces equal, row for row,
       what _refine gives when it splits every leaf: leaf order,
       Gram-Schmidt and every output stay the same.
@@ -320,11 +330,11 @@ def resolve(basis: OrbitBasis, state_ops: Sequence[Sequence[Sequence[int]]] | No
 
     ``state_ops`` is an ordered list of state operators, each a list of
     alphabet transpositions (index pairs) whose matrices are summed.  When
-    none are supplied and degeneracy remains after the chain, default
-    operators are tried one at a time (see default_state_ops) until the
-    degeneracy clears or the options run out.
+    none are supplied, the default lifters apply in turn until no row leaf
+    is degenerate or they run out.  They are disjoint swaps: none is
+    skipped and none leaves a remainder (see default_state_ops).
 
-    A state operator refines the table only if every current leaf is
+    A user state operator refines the table only if every current leaf is
     invariant under it (operators after the first need not commute with
     the earlier ones); non-invariant operators are recorded as skipped.
     Every applied operator labels every leaf, so complete tables have one
@@ -348,7 +358,7 @@ def resolve(basis: OrbitBasis, state_ops: Sequence[Sequence[Sequence[int]]] | No
     applied: list[StateOp] = []
     skipped: list[StateOp] = []
     for i, op in enumerate(ops_queue):
-        if auto and not any(lf.space.dim > 1 and not lf.remainder for lf in pieces):
+        if auto and not any(lf.space.dim > 1 for lf in pieces):
             break
         maps = state_maps(op, basis)
         cands = tuple(range(len(op), -len(op) - 1, -1))

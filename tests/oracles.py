@@ -12,8 +12,10 @@ relations, dense C(k) eigenspaces instead of the Jucys-Murphy chain's
 leaves, every integer in [-(j - 1), j - 1] tried as an X(j) eigenvalue
 instead of the addable-corner contents (chain_reference), state
 operators refined on every chain leaf instead of carried from each
-shape's row leaf (resolve_reference), and a span as the kernel of its
-kernel instead of one elimination (span_reference).
+shape's row leaf (resolve_reference), every equal-multiplicity state
+swap tried in turn instead of only the pairwise-disjoint ones
+(trial_state_ops), and a span as the kernel of its kernel instead of one
+elimination (span_reference).
 
 The dense representation lives here too.  The package holds every
 operator as ket maps and every subspace as integer rows; the tests check
@@ -668,6 +670,24 @@ def block_structure_reference(table, elements) -> Check:
                             f"{g} connects vectors {i} and {b} across blocks",
                         )
     return Check("block_structure", "PASS")
+
+
+def trial_state_ops(basis) -> list[tuple[tuple[int, int], ...]]:
+    """Every swap of two states with equal (nonzero) multiplicity, in
+    lexicographic label order.  Tried in turn, resolve() skips each swap
+    that does not keep the pieces the earlier ones leave; the shipped
+    default_state_ops keeps only the pairwise-disjoint swaps, which it
+    never needs to skip, and must give the same tables."""
+    labels = basis.alphabet.labels
+    mults = basis.multiplicities()
+    pairs = [
+        (i, j)
+        for i in range(len(labels))
+        for j in range(i + 1, len(labels))
+        if mults[i] == mults[j] and mults[i] > 0
+    ]
+    pairs.sort(key=lambda p: (labels[p[0]], labels[p[1]]))
+    return [((i, j),) for i, j in pairs]
 
 
 def chain_reference(basis) -> list[_Leaf]:

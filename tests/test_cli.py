@@ -102,6 +102,13 @@ PINNED_JSON = [
     pytest.param(["basis", "--config", "abcd", "--state-ops", "(a b)+(b c)+(c d)"], 2,
                  "0e45da3037533b85169c0a8ee6237107ea62d8db644af833ad1e73c202d34902",
                  id="abcd-path-remainder"),
+    # the default lifters on words with several equal-multiplicity pairs
+    pytest.param(["basis", "--config", "aabbcc"], 2,
+                 "60468f78844b3f72481c9f00639313e0ebb9fb031302d87672ab7c0f0fbaee7c",
+                 id="aabbcc"),
+    pytest.param(["basis", "--config", "aabcde"], 2,
+                 "696ba8fa2c41ffed37a346d91966d4a5d77dd72292d97396e602013318611f57",
+                 id="aabcde"),
     # spectra pinned from the dense C(k) kernels, now read off the X(k) chain
     pytest.param(["eigenvalues", "--config", "abcde", "--k", "5"], 0,
                  "5b4a1611c3f4fdcbaaa730d8b1e5c1e7f5496caa5edc027db5d11d0d9c8281cb",
@@ -164,6 +171,18 @@ def test_basis_text_with_skipped_state_operator(capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
         "c4435bcf97e53657ea2abec7e76cdbd7a39e05e6e15c1f65cc57a6d9daef138b"
     )
+
+
+def test_only_user_state_operators_are_reported_skipped(capsys):
+    # the default lifters are disjoint swaps, so none is skipped; a user
+    # operator that breaks the earlier pieces still is
+    code, out, err = run_cli(["basis", "--config", "abcd"], capsys)
+    assert code == 0
+    assert "state operators: (a b), (c d)" in out.splitlines()
+    assert not any(line.startswith("skipped") for line in out.splitlines())
+    code, out, err = run_cli(["basis", "--config", "abcd", "--state-ops", "(a b),(a c)"], capsys)
+    assert code == 2
+    assert out.splitlines()[4] == "skipped state operators (not invariant on every leaf): (a c)"
 
 
 def test_basis_aab_text(capsys):

@@ -29,6 +29,7 @@ from oracles import (
     spectrum_reference,
     standard_tableaux,
     subgroup_transpositions,
+    trial_state_ops,
 )
 
 
@@ -140,10 +141,30 @@ def test_an_empty_state_operator_is_refused():
 
 
 def test_default_state_ops_policy():
-    assert default_state_ops(make_basis("abc")) == [((0, 1),), ((0, 2),), ((1, 2),)]
+    # equal-multiplicity swaps in label order, less those that share a state
+    # with an earlier one
+    assert default_state_ops(make_basis("abc")) == [((0, 1),)]
     assert default_state_ops(make_basis("aabc")) == [((1, 2),)]
     assert default_state_ops(make_basis("aabb")) == [((0, 1),)]
     assert default_state_ops(make_basis("aaa")) == []
+    assert default_state_ops(make_basis("abcd")) == [((0, 1),), ((2, 3),)]
+    assert default_state_ops(make_basis("abcde")) == [((0, 1),), ((2, 3),)]
+    assert default_state_ops(make_basis("aabbcd")) == [((0, 1),), ((2, 3),)]
+    # the order follows the labels, not the alphabet indices: (b a), (d c)
+    assert default_state_ops(make_basis("abcd", alphabet="dcba")) == [((2, 3),), ((0, 1),)]
+
+
+@pytest.mark.parametrize("pattern", [p for n in range(1, 7) for p in partitions_of(n)])
+def test_disjoint_default_swaps_give_the_trial_tables(pattern, monkeypatch):
+    # every equal-multiplicity swap tried in turn applies only disjoint ones,
+    # so the disjoint list gives the same table and skips nothing
+    basis = make_basis("".join(c * m for c, m in zip("abcdef", pattern)))
+    shipped = resolve(basis)
+    monkeypatch.setattr(solver, "default_state_ops", trial_state_ops)
+    trial = resolve(basis)
+    assert shipped.vectors == trial.vectors
+    assert shipped.state_ops == trial.state_ops
+    assert shipped.skipped_state_ops == ()
 
 
 def test_auto_lift_stops_once_degeneracy_clears():
