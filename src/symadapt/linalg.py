@@ -23,12 +23,7 @@ Matrix = Sequence[Sequence[int]]
 
 
 class NotInvariantError(ValueError):
-    """An operator mapped a subspace outside itself; carries a witness vector:
-    the image of a basis row that left the subspace."""
-
-    def __init__(self, message: str, witness: tuple[int, ...]):
-        super().__init__(message)
-        self.witness = witness
+    """An operator mapped a subspace outside itself."""
 
 
 def dot(a: Sequence[int], b: Sequence[int]) -> int:
@@ -195,7 +190,7 @@ def restrict_apply(
 
     Invariance is checked exactly over the integers, with L = lcm(leads):
     L * M z_j must equal sum_i A[i][j] * (L / l_i) * z_i.  Raises
-    NotInvariantError (with the image that escaped) when it does not.
+    NotInvariantError when it does not.
     """
     rows = space.rows
     pivots = space.pivots
@@ -217,8 +212,7 @@ def restrict_apply(
                 for t, x in nonzero:
                     z[t] -= a * x
         if any(z):
-            raise NotInvariantError(
-                "the operator does not leave the subspace invariant", tuple(image))
+            raise NotInvariantError("the operator does not leave the subspace invariant")
         cols.append(col)
     return tuple(zip(*cols))
 

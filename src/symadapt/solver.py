@@ -98,7 +98,8 @@ class CGTable:
     ``complete``, all read off the vectors' label records.
     A record that resolve() never writes raises ValueError: a state operator
     that normalize_state_pairs rejects, or a vector without one coefficient
-    per ket, with more state labels than operators, or with no n-box tableau.
+    per ket, with a norm_sq that is not its sum of squares, with more state
+    labels than operators, or with no n-box tableau.
     """
 
     basis: OrbitBasis
@@ -114,6 +115,8 @@ class CGTable:
             if len(v.coeffs) != d or len(v.chain.state_labels) > ops:
                 raise ValueError(f"vector {i} has {len(v.coeffs)} coefficients and state labels "
                                  f"{v.chain.state_labels}, for {d} kets and {ops} state operators")
+            if dot(v.coeffs, v.coeffs) != v.norm_sq:
+                raise ValueError(f"vector {i} has norm_sq {v.norm_sq}, not its sum of squares")
             try:
                 realized = sum(v.tableau.shape) == n
             except ValueError:
@@ -173,7 +176,7 @@ def default_state_ops(basis: OrbitBasis) -> list[StateOp]:
 @dataclass
 class _Leaf:
     """A piece of the partition: the eigenvalues of the operators applied
-    so far (the X(2), ..., X(k) box contents, then the state-operator
+    so far (the box contents c_1 = 0, c_2, ..., c_k, then the state-operator
     eigenvalues), or a frozen remainder, which only a user state operator
     leaves and later operators skip."""
 
@@ -220,7 +223,7 @@ def _refine(
 def _corner_contents(leaf: _Leaf) -> list[int]:
     """The X(k) eigenvalues open to a chain leaf: the contents of the
     addable corners of its shape, in descending order."""
-    shape = [len(row) for row in rows_from_contents((0,) + leaf.labels)]
+    shape = [len(row) for row in rows_from_contents(leaf.labels)]
     return [c for _, c in addable_corners(shape)]
 
 
@@ -241,9 +244,9 @@ def _gram_schmidt(rows: Sequence[Sequence[int]]) -> list[Sequence[int]]:
 
 def _chain(basis: OrbitBasis) -> list[_Leaf]:
     """The orbit split into joint eigenspaces of X(2), ..., X(n); each
-    leaf's labels are its n - 1 box contents after the first."""
+    leaf's labels are its n box contents."""
     d = len(basis)
-    leaves = [_Leaf(Subspace.full(d), ())]
+    leaves = [_Leaf(Subspace.full(d), (0,))]
     for j in range(2, basis.degree + 1):
         try:
             leaves = _refine(leaves, jm_maps(j, basis), f"X({j})", _corner_contents)
@@ -292,7 +295,7 @@ def _carry(pieces: list[_Leaf], basis: OrbitBasis) -> list[_Leaf]:
     s_maps = element_maps([transposition(a, a + 1, n) for a in range(1, n)], basis)
     split: dict[tuple[int, ...], list[_Leaf]] = {}
     for piece in pieces:
-        split.setdefault((0,) + piece.labels[:n - 1], []).append(piece)
+        split.setdefault(piece.labels[:n], []).append(piece)
     walk = list(split)
     for contents in walk:  # the walk grows as it goes: breadth first
         for a, r, target in steps(contents):
@@ -307,7 +310,7 @@ def _carry(pieces: list[_Leaf], basis: OrbitBasis) -> list[_Leaf]:
                 if image.dim != space.dim:
                     raise InternalCheckError(
                         f"s_{a} carried a piece of rank {space.dim} to rank {image.dim}")
-                carried.append(_Leaf(image, target[1:] + piece.labels[n - 1:], piece.remainder))
+                carried.append(_Leaf(image, target + piece.labels[n:], piece.remainder))
             split[target] = carried
             walk.append(target)
     out = [piece for carried in split.values() for piece in carried]
@@ -349,11 +352,12 @@ def resolve(basis: OrbitBasis, state_ops: Sequence[Sequence[Sequence[int]]] | No
                  else [normalize_state_pairs(op, basis) for op in state_ops])
     leaves = _chain(basis)
     # the state operators split only each shape's row leaf, whose tableau
-    # holds 1..n read row by row; _carry takes the split to the other leaves
-    row_order = list(range(1, n + 1))
+    # holds 1..n read row by row; _carry takes the split to the other leaves.
+    # a + 1 sits up and to the right of a exactly when c_{a+1} - c_a >= 2,
+    # and only the row tableau never has that: its contents never rise by 2
     pieces = [
         leaf for leaf in leaves
-        if [x for row in rows_from_contents((0,) + leaf.labels) for x in row] == row_order
+        if all(b - a <= 1 for a, b in zip(leaf.labels, leaf.labels[1:n]))
     ] if ops_queue else []
     applied: list[StateOp] = []
     skipped: list[StateOp] = []
@@ -372,15 +376,15 @@ def resolve(basis: OrbitBasis, state_ops: Sequence[Sequence[Sequence[int]]] | No
         leaves = _carry(pieces, basis)
 
     def nu(leaf: _Leaf) -> tuple[int, ...]:
-        # nu_k is the sum of the box contents up to k
-        return tuple(accumulate(leaf.labels[: n - 1]))[::-1]
+        # nu_k is the sum of the box contents up to k, and nu_1 = 0 is left out
+        return tuple(accumulate(leaf.labels[1:n]))[::-1]
 
     # each chain leaf has its own nu and its pieces stay contiguous, so one
     # stable sort gives the descending-chain order
     leaves.sort(key=nu, reverse=True)
     vectors: list[LabeledVector] = []
     for leaf in leaves:
-        chain = LabelChain(nu(leaf), leaf.labels[n - 1:])
+        chain = LabelChain(nu(leaf), leaf.labels[n:])
         # _gram_schmidt returns a single row as it is
         for row in _gram_schmidt(leaf.space.rows):
             vectors.append(LabeledVector(chain, *normalize(row)))
@@ -414,12 +418,25 @@ class VerifyReport:
         ]
 
 
-def _inverse(sigma: Sequence[int]) -> list[int]:
-    """The inverse of a ket map: inv[sigma[j]] = j."""
-    inv = [0] * len(sigma)
-    for j, t in enumerate(sigma):
-        inv[t] = j
-    return inv
+def _spans(vecs: Sequence[LabeledVector], keys: Sequence) -> dict:
+    """Per key: the nonzero vectors g under it (keys[i] is the key of
+    vecs[i]), each weighted by L / (g . g), and L, the lcm of those g . g."""
+    spans: dict = {}
+    for key, g in zip(keys, vecs):
+        if g.norm_sq:
+            spans.setdefault(key, []).append(g)
+    for key, mates in spans.items():
+        big = lcm(*(g.norm_sq for g in mates))
+        spans[key] = [(g.coeffs, big // g.norm_sq) for g in mates], big
+    return spans
+
+
+def _in_span(u: Sequence[int], span) -> bool:
+    """Bessel's equality sum_g (u . g)^2 L / (g . g) = (u . u) L over one
+    entry of _spans; over orthogonal g it holds exactly when u lies in
+    their span, and over no g exactly when u = 0."""
+    mates, big = span
+    return sum(dot(u, g) ** 2 * w for g, w in mates) == dot(u, u) * big
 
 
 def _verdict(name: str, bad, detail: str) -> Check:
@@ -431,26 +448,19 @@ def _failed_relations(table: CGTable, s_maps: Sequence[tuple[int, ...]]) -> list
     """The (vector, a) pairs that break Young's orthogonal form for
     s_a = (a a+1), whose ket map is s_maps[a - 1]; see verify_table."""
     vecs = table.vectors
-    # per record, by box contents and state labels: its nonzero vectors g,
-    # each weighted by L / (g . g), and L
-    groups = {}
-    for chain, mates in table.records.items():
-        squares = [(vecs[b].coeffs, dot(vecs[b].coeffs, vecs[b].coeffs)) for b in mates]
-        big = lcm(*(sq for _, sq in squares if sq))
-        key = chain_contents(chain.nu), chain.state_labels
-        groups[key] = [(g, big // sq) for g, sq in squares if sq], big
-    inverses = [_inverse(sigma) for sigma in s_maps]
+    contents = [chain_contents(v.chain.nu) for v in vecs]
+    # per record, by box contents and state labels
+    spans = _spans(vecs, [(c, v.chain.state_labels) for c, v in zip(contents, vecs)])
     failed = []
     for i, v in enumerate(vecs):
         coeffs = v.coeffs
-        for (a, r, target), inv in zip(steps(chain_contents(v.chain.nu)), inverses):
-            # s_a(c)[t] = c[inv[t]]
-            u = [r * coeffs[s] - x for s, x in zip(inv, coeffs)]
+        for (a, r, target), sigma in zip(steps(contents[i]), s_maps):
+            # s_a(c)[t] = c[sigma[t]] as in _carry, exact for an involution
+            u = [r * coeffs[s] - x for s, x in zip(sigma, coeffs)]
             if target is None:
                 held = not any(u)
             else:
-                mates, big = groups.get((target, v.chain.state_labels), ((), 1))
-                held = sum(dot(u, g) ** 2 * w for g, w in mates) == dot(u, u) * big
+                held = _in_span(u, spans.get((target, v.chain.state_labels), ((), 1)))
             if not held:
                 failed.append((i, a))
     return failed
@@ -460,7 +470,7 @@ def verify_table(table: CGTable) -> VerifyReport:
     """Exact self-verification of a resolved table: the whole suite of
     `symadapt verify`.
 
-    Checks, in order: unit norms and normalization conventions, pairwise
+    Checks, in order: every vector nonzero and primitive, pairwise
     orthogonality, the recorded state-operator eigen-equations,
     completeness (one vector per ket, none sharing its label record; an
     incomplete table warns), Young's orthogonal form on s_a = (a a+1),
@@ -472,9 +482,9 @@ def verify_table(table: CGTable) -> VerifyReport:
     T's box contents.  So u = r s_a(c) - c, in integers, must be 0 when
     |r| = 1 (s_a T is not standard), and otherwise lie in the span of the
     record with nu_a replaced by nu_a + r and the same state labels: the
-    Bessel equality sum_g (u . g)^2 L / (g . g) = (u . u) L over that
-    record's nonzero vectors g (L the lcm of the g . g; orthogonality
-    dots them pairwise), which an empty record reads as u = 0.
+    Bessel equality of _in_span over that record's nonzero vectors g,
+    each g . g its norm_sq (orthogonality dots them pairwise), which an
+    empty record reads as u = 0.
 
     Why this replaces the C(k) eigen-equations and the generator block
     check: say every s_a map is an involution and every vector passes.
@@ -502,9 +512,9 @@ def verify_table(table: CGTable) -> VerifyReport:
     vecs = table.vectors
     m = len(vecs)
 
-    # a positive norm_sq that is the sum of squares makes the row nonzero
-    bad_norm = [i for i, v in enumerate(vecs) if v.norm_sq <= 0 or dot(v.coeffs, v.coeffs)
-                != v.norm_sq or primitive(v.coeffs) != tuple(v.coeffs)]
+    # CGTable holds norm_sq to the sum of squares: a positive one is a nonzero row
+    bad_norm = [i for i, v in enumerate(vecs)
+                if v.norm_sq <= 0 or primitive(v.coeffs) != tuple(v.coeffs)]
 
     op_maps = [state_maps(op, basis) for op in table.state_ops]
     failures = [
@@ -580,39 +590,31 @@ def block_structure_check(table: CGTable, elements: Sequence[Permutation]) -> Ch
     it, since its Young relations keep each block under the generators.
 
     For each transformed vector g v the exact Parseval identity over its
-    own block, sum_b (g v . v_b)^2 / n_b = n_v, is asserted in integers,
-    multiplied through by L = lcm of the block's norms n_b, so a vector
+    own block, sum_b (g v . v_b)^2 / n_b = n_v, is asserted in integers by
+    _in_span, with the norm_sq weights of the Young relations, so a vector
     whose norm_sq is not positive fails at once; for tables of at most 32
     kets every cross-block entry is also checked to be zero directly.
     """
     vecs = table.vectors
-    d = len(table.basis)
-    groups: dict[tuple, list[int]] = {}
-    keys = []
     for i, v in enumerate(vecs):
         if v.norm_sq <= 0:
             return Check("block_structure", "FAIL",
                          f"vector {i} has norm_sq {v.norm_sq}, so no Parseval sum holds")
-        keys.append((v.tableau.shape, v.chain.state_labels))
-        groups.setdefault(keys[i], []).append(i)
-    blocks = {key: (mates, lcm(*(vecs[b].norm_sq for b in mates))) for key, mates in groups.items()}
-    direct = d <= 32
+    keys = [(v.tableau.shape, v.chain.state_labels) for v in vecs]
+    spans = _spans(vecs, keys)
+    direct = len(table.basis) <= 32
     for g, sigma in zip(elements, element_maps(elements, table.basis)):
-        sigma_inv = _inverse(sigma)
         for i, v in enumerate(vecs):
-            # image[sigma[j]] = coeffs[j]
-            image = [v.coeffs[j] for j in sigma_inv]
-            mates, big = blocks[keys[i]]
-            projected = sum(dot(image, vecs[b].coeffs) ** 2 * (big // vecs[b].norm_sq)
-                            for b in mates)
-            if projected != v.norm_sq * big:
+            # an element map need not be an involution: image[sigma[j]] = coeffs[j]
+            image = apply_maps([sigma], v.coeffs)
+            if not _in_span(image, spans[keys[i]]):
                 return Check(
                     "block_structure", "FAIL",
                     f"{g} maps vector {i} outside its (shape, state-label) block",
                 )
             if direct:
                 for b, u in enumerate(vecs):
-                    if b not in mates and dot(image, u.coeffs) != 0:
+                    if keys[b] != keys[i] and dot(image, u.coeffs) != 0:
                         return Check(
                             "block_structure", "FAIL",
                             f"{g} connects vectors {i} and {b} across blocks",

@@ -72,12 +72,12 @@ def test_state_operators_split_only_the_row_leaves(monkeypatch):
 
     def recorded(leaves, maps, label, cands):
         if label.startswith("state op"):
-            seen.append([leaf.labels[:3] for leaf in leaves])
+            seen.append([leaf.labels[:4] for leaf in leaves])
         return real(leaves, maps, label, cands)
 
     monkeypatch.setattr(solver, "_refine", recorded)
     resolve(make_basis("abcd"), [[(0, 1)], [(0, 1), (0, 2), (1, 2)]])
-    rows = [rows_from_contents((0,) + labels) for labels in seen[0]]
+    rows = [rows_from_contents(labels) for labels in seen[0]]
     # one leaf per shape of S_4, each filled 1..4 row by row
     assert [tuple(map(len, r)) for r in rows] == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     assert all([x for row in r for x in row] == [1, 2, 3, 4] for r in rows)

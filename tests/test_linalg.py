@@ -179,9 +179,8 @@ def test_restrict_rejects_non_invariant_subspace():
     basis = make_basis("aab")
     m = class_operator(2, basis)
     crooked = from_rows(3, [(1, 1, 0)])
-    with pytest.raises(NotInvariantError) as err:
+    with pytest.raises(NotInvariantError):
         restrict(m, crooked)
-    assert len(err.value.witness) == 3
 
 
 def test_restrict_rejects_non_integer_matrix():

@@ -111,24 +111,6 @@ def test_cross_block_mix_fails_orthogonality_and_block_structure():
     assert block_structure_check(broken, GENERATORS) == _outside("(1 2)", 3)
 
 
-def test_understated_norm_fails_unit_norm_only():
-    table = _table("aaabbc")
-    v = table.vectors[7]
-    broken = _with(table, {7: replace(v, norm_sq=v.norm_sq - 1)})
-    assert verify_table(broken).lines() == [
-        "FAIL unit_norm: vectors [7] break the normalization contract",
-        "PASS orthogonality",
-        "PASS eigen_equations",
-        UNLABELED,
-        # the Young relations weigh by the actual sums of squares
-        "PASS young_orthogonal_form",
-        REPRESENTATION,
-    ]
-    # vector 7 shares vector 3's block, whose Parseval sum divides by n_7
-    assert block_structure_check(broken, _elements(6)) == OUTSIDE
-    assert block_structure_check(broken, GENERATORS) == _outside("(1 2)", 7)
-
-
 def test_swapped_labels_fail_the_eigen_equations():
     # the chain's eigen-equations fail term by term, and verify_table
     # reports them as broken Young relations: with no state operator,
@@ -192,7 +174,7 @@ TABLES = [(word, None) for word in _words()] + [
 ]
 
 
-FAULTS = ("none", "swap_labels", "perturb", "mix", "norm", "duplicate")
+FAULTS = ("none", "swap_labels", "perturb", "mix", "duplicate")
 
 
 def _fault(table, kind: str, i: int, j: int, delta: int):
@@ -210,9 +192,6 @@ def _fault(table, kind: str, i: int, j: int, delta: int):
         key = (vecs[i].tableau.shape, vecs[i].chain.state_labels)
         others = [b for b, u in enumerate(vecs) if (u.tableau.shape, u.chain.state_labels) != key]
         return _mixed(table, i, others[j % len(others)] if others else (i + 1) % m)
-    if kind == "norm":
-        v = vecs[i]
-        return _with(table, {i: replace(v, norm_sq=max(1, v.norm_sq + delta))})
     if kind == "duplicate":
         return replace(table, vectors=vecs + (vecs[i],))
     return table
@@ -337,6 +316,23 @@ def test_zero_vector_fails_block_structure_without_raising():
     ]
 
 
+def test_a_non_involutive_generator_map_fails(monkeypatch):
+    # (1 2) mapped as a 3-cycle of kets 0, 1, 2: the Young relations apply
+    # s_a(c)[t] = c[sigma_a[t]], which is exact only for involutions, and
+    # representation_property reports that the map is not one
+    table = resolve(make_basis("abc"))
+    monkeypatch.setitem(table.basis._maps, transposition(1, 2, 3), (1, 2, 0, 3, 4, 5))
+    report = verify_table(table)
+    assert not report.passed
+    assert [line for line in report.lines() if line.startswith("FAIL")] == [
+        "FAIL young_orthogonal_form: failed relations "
+        "[(1, '(1 2)'), (2, '(1 2)'), (3, '(1 2)'), (4, '(1 2)'), (5, '(1 2)')]",
+        "FAIL representation_property: generator maps break (s_a s_b)^m = 1 for "
+        "[('(1 2)', '(1 2)'), ('(1 2)', '(2 3)')]",
+        "FAIL state_particle_commutation: non-commuting state operators [((0, 1),)]",
+    ]
+
+
 def test_a_generator_map_that_breaks_a_coxeter_relation_fails(monkeypatch):
     # (1 2) mapped as the identity still squares to 1, but (s_1 s_2)^3 is
     # then s_2, which moves kets of abc
@@ -362,6 +358,10 @@ REFUSALS = [
                  id="extra-state-label"),
     pytest.param(_first(lambda v: replace(v, chain=LabelChain(v.chain.nu[:1], ()))),
                  "vector 0 has chain (3,), which spells no tableau of 3 boxes", id="short-nu"),
+    # verify_table and block_structure_check weigh by the stored norm_sq
+    pytest.param(_first(lambda v: replace(v, norm_sq=v.norm_sq - 1)),
+                 "vector 0 has norm_sq 2, not its sum of squares",
+                 id="understated-norm"),
     pytest.param(_first(lambda v: replace(v, coeffs=v.coeffs[:2])),
                  "vector 0 has 2 coefficients and state labels (), for 3 kets and 0 state operators",
                  id="short-coefficients"),

@@ -110,6 +110,20 @@ def test_steps_and_chain_contents_agree_with_every_tableau():
                 assert rows_from_contents(chain_contents(nu)) == tableau_from_chain(nu).rows == rows
 
 
+def test_only_the_row_tableau_has_contents_that_never_rise_by_two():
+    # the rule resolve uses to find each shape's row leaf, over all 351
+    # standard tableaux of at most 7 boxes
+    seen = 0
+    for n in range(1, 8):
+        for shape in partitions_of(n):
+            for rows in standard_tableaux(shape):
+                contents = _contents(rows)
+                no_rise = all(b - a <= 1 for a, b in zip(contents, contents[1:]))
+                assert no_rise == ([x for row in rows for x in row] == list(range(1, n + 1)))
+                seen += 1
+    assert seen == 351
+
+
 def test_standard_tableaux_oracle_agrees_with_hook_counts():
     # spot values: number of standard tableaux per shape
     assert len(standard_tableaux((2, 1))) == 2
