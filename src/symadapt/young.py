@@ -115,6 +115,16 @@ def steps(contents: tuple[int, ...]) -> list[tuple[int, int, tuple[int, ...] | N
     return out
 
 
+def reads_by_rows(contents: Sequence[int]) -> bool:
+    """True when the standard tableau with box contents ``contents``
+    (c_1, ..., c_k) holds 1..k read row by row: its contents never rise by
+    2 or more.  Why: a + 1 sits up and to the right of a exactly when
+    c_{a+1} - c_a >= 2, and the row tableau is the only standard tableau
+    where that never happens.  A tableau with such a rise keeps it in every
+    tableau that grows from it, so none of those reads by rows either."""
+    return all(b - a <= 1 for a, b in zip(contents, contents[1:]))
+
+
 def spectrum(words: Iterable[Sequence[int]], k: int) -> list[tuple[int, int]]:
     """Realized eigenvalues of C(k) on the span of the kets ``words``, with
     multiplicities, rarest first, ties broken by descending eigenvalue: a
@@ -149,6 +159,7 @@ __all__ = [
     "StandardTableau",
     "addable_corners",
     "chain_contents",
+    "reads_by_rows",
     "rows_from_contents",
     "spectrum",
     "steps",

@@ -1,7 +1,8 @@
 """State operators split one row leaf per shape; _carry takes the split to
-the shape's other leaves.  resolve must equal resolve_reference, which
-refines every chain leaf, and Subspace.from_rows must equal the kernel of
-the kernel."""
+the shape's other leaves.  With a state operator queued, the chain builds
+only the row leaves.  resolve must equal resolve_reference, which refines
+every chain leaf, and Subspace.from_rows must equal the kernel of the
+kernel."""
 import random
 from itertools import product
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from symadapt import solver
 from symadapt.linalg import Subspace, kernel
 from symadapt.solver import InternalCheckError, resolve
-from symadapt.young import rows_from_contents
+from symadapt.young import reads_by_rows, rows_from_contents
 
 from helpers import make_basis
 from oracles import resolve_reference, span_reference
@@ -41,7 +42,7 @@ def words(max_n):
                     parts.append(1)
                 else:
                     parts[-1] += 1
-            yield "".join("abcde"[i] * m for i, m in enumerate(parts))
+            yield "".join("abcdef"[i] * m for i, m in enumerate(parts))
 
 
 def outcome(resolver, basis, ops):
@@ -67,12 +68,11 @@ def test_resolve_equals_refining_every_leaf(word):
 
 
 def test_state_operators_split_only_the_row_leaves(monkeypatch):
-    seen = []
+    seen, chain = [], []
     real = solver._refine
 
     def recorded(leaves, maps, label, cands):
-        if label.startswith("state op"):
-            seen.append([leaf.labels[:4] for leaf in leaves])
+        (seen if label.startswith("state op") else chain).append([leaf.labels[:4] for leaf in leaves])
         return real(leaves, maps, label, cands)
 
     monkeypatch.setattr(solver, "_refine", recorded)
@@ -82,6 +82,37 @@ def test_state_operators_split_only_the_row_leaves(monkeypatch):
     assert [tuple(map(len, r)) for r in rows] == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     assert all([x for row in r for x in row] == [1, 2, 3, 4] for r in rows)
     assert len(seen) == 2
+    # the chain hands X(2), X(3) and X(4) only leaves that read by rows
+    assert [len(leaves) for leaves in chain] == [1, 2, 3]
+    assert all(reads_by_rows(labels) for leaves in chain for labels in leaves)
+
+
+@pytest.mark.parametrize("word", list(words(6)))
+def test_the_pruned_chain_builds_exactly_the_row_leaves(word):
+    basis = make_basis(word)
+
+    def fields(leaves):
+        return [(leaf.space.rows, leaf.space.pivots, leaf.labels, leaf.remainder) for leaf in leaves]
+
+    rows = [leaf for leaf in solver._chain(basis) if reads_by_rows(leaf.labels)]
+    assert fields(solver._chain(basis, rows_only=True)) == fields(rows)
+
+
+# one row leaf per shape of at most two rows: (4), (3, 1), (2, 2) for aabb
+@pytest.mark.parametrize("word, shapes", [("aabb", 3), ("aaabbb", 4)])
+def test_a_queued_swap_that_never_applies_still_carries(word, shapes, monkeypatch):
+    # two states: every row leaf is one-dimensional, so the default swap is
+    # queued but never applied, the chain stops at the row leaves, and
+    # _carry builds the rest
+    basis = make_basis(word)
+    assert solver.default_state_ops(basis) == [((0, 1),)]
+    carried = []
+    real = solver._carry
+    monkeypatch.setattr(solver, "_carry", lambda pieces, b: carried.append(len(pieces)) or real(pieces, b))
+    table = resolve(basis)
+    assert (table.state_ops, table.skipped_state_ops) == ((), ())
+    assert carried == [shapes]
+    assert table.vectors == resolve_reference(basis).vectors
 
 
 def test_no_state_operator_runs_no_carry(monkeypatch):
@@ -96,6 +127,20 @@ def test_a_walk_that_drops_a_step_is_refused(monkeypatch):
     monkeypatch.setattr(solver, "steps", lambda contents: [s for s in real(contents) if s[0] != 2])
     with pytest.raises(InternalCheckError, match="span 4 of the orbit's 6 dimensions"):
         resolve(make_basis("abc"), [[(0, 1)]])
+
+
+@pytest.mark.parametrize("word, message", [
+    # no state operator: the full chain counts dimensions after each split
+    ("aaabbc", "C\\(2\\) eigenspace dimensions sum to 38, expected 60"),
+    # the default swap is queued: the chain stops at the row leaves, and the
+    # carried pieces must span the orbit
+    ("aabbcd", "span 1 of the orbit's 180 dimensions"),
+])
+def test_a_chain_split_that_misses_a_candidate_is_refused(word, message, monkeypatch):
+    real = solver._corner_contents
+    monkeypatch.setattr(solver, "_corner_contents", lambda leaf: real(leaf)[:-1])
+    with pytest.raises(InternalCheckError, match=message):
+        resolve(make_basis(word))
 
 
 def test_a_carried_piece_that_loses_rank_is_refused(monkeypatch):

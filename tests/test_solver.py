@@ -109,7 +109,7 @@ def test_state_labels_attach_to_nondegenerate_leaves_too():
 
 
 def test_orbit_escaping_state_op_is_refused_before_the_chain(monkeypatch):
-    def chain(basis, k):
+    def chain(basis, rows_only=False):
         raise AssertionError("the chain ran before the state operators were checked")
 
     monkeypatch.setattr(solver, "_chain", chain)

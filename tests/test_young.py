@@ -6,6 +6,7 @@ from symadapt.young import (
     StandardTableau,
     addable_corners,
     chain_contents,
+    reads_by_rows,
     rows_from_contents,
     spectrum,
     steps,
@@ -111,15 +112,14 @@ def test_steps_and_chain_contents_agree_with_every_tableau():
 
 
 def test_only_the_row_tableau_has_contents_that_never_rise_by_two():
-    # the rule resolve uses to find each shape's row leaf, over all 351
+    # the rule the chain uses to keep each shape's row leaf, over all 351
     # standard tableaux of at most 7 boxes
     seen = 0
     for n in range(1, 8):
         for shape in partitions_of(n):
             for rows in standard_tableaux(shape):
                 contents = _contents(rows)
-                no_rise = all(b - a <= 1 for a, b in zip(contents, contents[1:]))
-                assert no_rise == ([x for row in rows for x in row] == list(range(1, n + 1)))
+                assert reads_by_rows(contents) == ([x for row in rows for x in row] == list(range(1, n + 1)))
                 seen += 1
     assert seen == 351
 
