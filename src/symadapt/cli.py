@@ -61,7 +61,7 @@ def read_inputs(args: argparse.Namespace) -> tuple[OrbitBasis, list[StateOp] | N
     word = alphabet.word_from_text(args.config)
     ordering = None
     if args.order:
-        with open(args.order, encoding="utf-8") as handle:
+        with open(args.order, encoding="utf-8-sig") as handle:
             ordering = parse_ordering(handle, alphabet)
     state_ops = None
     # eigenvalues has no --state-ops

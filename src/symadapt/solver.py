@@ -17,8 +17,8 @@ of the configuration.
 
 On a leaf of shape lambda^(k-1), X(k) acts as the content of the box that
 k adds (Okounkov-Vershik), so its split tries only the contents of the
-addable corners; the dimension count after each split, or on the row
-leaves alone _carry's span count, proves that none was missed.
+addable corners (young.corner_contents).  resolve's one span count, on
+the final leaves, proves that none was missed.
 C(k) = X(2) + ... + X(k) is the class sum of S_k, so a leaf's chain
 label nu_k is the sum of its first k box contents.
 
@@ -45,8 +45,8 @@ from .operators import (
     state_maps,
 )
 from .perm import Permutation, transposition
-from .young import (StandardTableau, addable_corners, chain_contents, reads_by_rows,
-                    rows_from_contents, steps, tableau_from_chain)
+from .young import (StandardTableau, chain_contents, corner_contents, reads_by_rows, steps,
+                    tableau_from_chain)
 
 StateOp = tuple[tuple[int, int], ...]
 
@@ -192,15 +192,16 @@ def _refine(
     leaves: list[_Leaf],
     maps: Sequence[tuple[int, ...]],
     label: str,
-    cands: Callable[[_Leaf], Sequence[int]],
+    cands: Callable[[tuple[int, ...]], Sequence[int]],
 ) -> list[_Leaf]:
     """Split every live leaf into the integer eigenspaces of one operator,
     a sum of ket permutations given by its index maps.
 
-    ``cands(leaf)`` lists the eigenvalues to try on a leaf; children keep
-    that order and append their eigenvalue to the leaf's labels.  The
-    result is a new list, so a NotInvariantError on any leaf, which only a
-    user state operator raises, leaves the caller's partition as it was.
+    ``cands(labels)`` lists the eigenvalues to try on a leaf with those
+    labels; children keep that order and append their eigenvalue to the
+    labels.  The result is a new list, so a NotInvariantError on any leaf,
+    which only a user state operator raises, leaves the caller's partition
+    as it was.
     Whatever the candidates leave uncovered (a user operator's irrational
     eigenvalues) is split's orthogonal remainder and becomes a frozen
     remainder leaf that keeps the parent's labels.
@@ -210,7 +211,7 @@ def _refine(
         if leaf.remainder:
             out.append(leaf)
             continue
-        values = cands(leaf)
+        values = cands(leaf.labels)
         pieces, rem = split(leaf.space, lambda v: apply_maps(maps, v), values)
         total = sum(piece.dim for piece in pieces)
         if total > leaf.space.dim:
@@ -221,13 +222,6 @@ def _refine(
                 raise InternalCheckError(f"{label}: remainder dimension mismatch")
             out.append(_Leaf(rem, leaf.labels, remainder=True))
     return out
-
-
-def _corner_contents(leaf: _Leaf) -> list[int]:
-    """The X(k) eigenvalues open to a chain leaf: the contents of the
-    addable corners of its shape, in descending order."""
-    shape = [len(row) for row in rows_from_contents(leaf.labels)]
-    return [c for _, c in addable_corners(shape)]
 
 
 def _gram_schmidt(rows: Sequence[Sequence[int]]) -> list[Sequence[int]]:
@@ -249,30 +243,20 @@ def _chain(basis: OrbitBasis, rows_only: bool = False) -> list[_Leaf]:
     """The orbit split into joint eigenspaces of X(2), ..., X(n); each
     leaf's labels are its n box contents.
 
-    With ``rows_only``, only the row leaves are built: after each X(j)
-    split the chain keeps the leaves whose contents read 1..j by rows
-    (young.reads_by_rows), since no descendant of another leaf is a row
-    leaf.  The per-step dimension count then has nothing to sum to, and
-    _carry's span guard takes its place: exact eigenspaces never exceed
-    their multiplicity, so the carried pieces span the orbit exactly when
-    no row leaf is short.  A remainder, which only a missed candidate
-    leaves, is dropped too; kept, it would fill that span back up.
+    After each X(j) split the chain drops every remainder, which only a
+    missed candidate leaves, so that resolve's span count sees the loss.
+    With ``rows_only`` it also keeps only the leaves whose contents read
+    1..j by rows (young.reads_by_rows), since no descendant of another
+    leaf is a row leaf.
     """
-    d = len(basis)
-    leaves = [_Leaf(Subspace.full(d), (0,))]
+    leaves = [_Leaf(Subspace.full(len(basis)), (0,))]
     for j in range(2, basis.degree + 1):
         try:
-            leaves = _refine(leaves, jm_maps(j, basis), f"X({j})", _corner_contents)
+            leaves = _refine(leaves, jm_maps(j, basis), f"X({j})", corner_contents)
         except NotInvariantError as exc:
             raise InternalCheckError(f"X({j}) failed to leave a chain eigenspace invariant") from exc
-        if rows_only:
-            leaves = [leaf for leaf in leaves if not leaf.remainder and reads_by_rows(leaf.labels)]
-            continue
-        total = sum(leaf.space.dim for leaf in leaves if not leaf.remainder)
-        if total != d:
-            raise InternalCheckError(
-                f"C({j}) eigenspace dimensions sum to {total}, expected {d}"
-            )
+        leaves = [leaf for leaf in leaves
+                  if not leaf.remainder and (not rows_only or reads_by_rows(leaf.labels))]
     return leaves
 
 
@@ -304,8 +288,8 @@ def _carry(pieces: list[_Leaf], basis: OrbitBasis) -> list[_Leaf]:
       what _refine gives when it splits every leaf: leaf order,
       Gram-Schmidt and every output stay the same.
 
-    Raises InternalCheckError when a carried piece loses rank, or when the
-    pieces do not span the orbit (the walk missed a tableau).
+    Raises InternalCheckError when a carried piece loses rank; a tableau
+    that the walk misses leaves resolve's span count short.
     """
     n = basis.degree
     s_maps = element_maps([transposition(a, a + 1, n) for a in range(1, n)], basis)
@@ -326,14 +310,10 @@ def _carry(pieces: list[_Leaf], basis: OrbitBasis) -> list[_Leaf]:
                 if image.dim != space.dim:
                     raise InternalCheckError(
                         f"s_{a} carried a piece of rank {space.dim} to rank {image.dim}")
-                carried.append(_Leaf(image, target + piece.labels[n:], piece.remainder))
+                carried.append(_Leaf(image, target + piece.labels[n:]))
             split[target] = carried
             walk.append(target)
-    out = [piece for carried in split.values() for piece in carried]
-    total = sum(piece.space.dim for piece in out)
-    if total != len(basis):
-        raise InternalCheckError(f"carried pieces span {total} of the orbit's {len(basis)} dimensions")
-    return out
+    return [piece for carried in split.values() for piece in carried]
 
 
 def resolve(basis: OrbitBasis, state_ops: Sequence[Sequence[Sequence[int]]] | None = None) -> CGTable:
@@ -346,6 +326,11 @@ def resolve(basis: OrbitBasis, state_ops: Sequence[Sequence[Sequence[int]]] | No
     leaf's pieces from its row leaf's, split or not.  The table is the
     one that splitting every leaf gives (see _carry).  With no state
     operator queued, the chain builds every leaf and nothing is carried.
+
+    One count proves the table complete: the final leaves must span the
+    orbit, or InternalCheckError is raised.  Exact eigenspaces never exceed
+    their multiplicity and _refine and _carry refuse overfilled or
+    rank-losing pieces, so a missed candidate or tableau leaves it short.
 
     ``state_ops`` is an ordered list of state operators, each a list of
     alphabet transpositions (index pairs) whose matrices are summed.  When
@@ -379,13 +364,16 @@ def resolve(basis: OrbitBasis, state_ops: Sequence[Sequence[Sequence[int]]] | No
         maps = state_maps(op, basis)
         cands = tuple(range(len(op), -len(op) - 1, -1))
         try:
-            leaves = _refine(leaves, maps, f"state op {i}", lambda leaf: cands)
+            leaves = _refine(leaves, maps, f"state op {i}", lambda labels: cands)
         except NotInvariantError:
             skipped.append(op)
             continue
         applied.append(op)
     if ops_queue:
         leaves = _carry(leaves, basis)
+    total = sum(leaf.space.dim for leaf in leaves)
+    if total != len(basis):
+        raise InternalCheckError(f"the leaves span {total} of the orbit's {len(basis)} dimensions")
 
     def nu(leaf: _Leaf) -> tuple[int, ...]:
         # nu_k is the sum of the box contents up to k, and nu_1 = 0 is left out

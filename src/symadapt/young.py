@@ -80,6 +80,14 @@ def rows_from_contents(contents: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in rows)
 
 
+def corner_contents(contents: Sequence[int]) -> list[int]:
+    """The contents of the addable corners of the shape that the box
+    contents ``contents`` fill, in descending order: the branching rule,
+    one content per way to add box k+1 to a k-box tableau."""
+    shape = [len(row) for row in rows_from_contents(contents)]
+    return [c for _, c in addable_corners(shape)]
+
+
 def tableau_from_chain(nu: Sequence[int]) -> StandardTableau:
     """The unique standard tableau whose box contents follow a chain.
 
@@ -159,6 +167,7 @@ __all__ = [
     "StandardTableau",
     "addable_corners",
     "chain_contents",
+    "corner_contents",
     "reads_by_rows",
     "rows_from_contents",
     "spectrum",

@@ -697,7 +697,7 @@ def chain_reference(basis) -> list[_Leaf]:
     leaves = [_Leaf(Subspace.full(len(basis)), ())]
     for j in range(2, basis.degree + 1):
         cands = tuple(range(j - 1, -j, -1))
-        leaves = _refine(leaves, jm_maps(j, basis), f"X({j})", lambda leaf: cands)
+        leaves = _refine(leaves, jm_maps(j, basis), f"X({j})", lambda labels: cands)
     return leaves
 
 
@@ -717,7 +717,7 @@ def resolve_reference(basis, state_ops=None) -> CGTable:
         maps = state_maps(op, basis)
         cands = tuple(range(len(op), -len(op) - 1, -1))
         try:
-            leaves = _refine(leaves, maps, f"state op {i}", lambda leaf: cands)
+            leaves = _refine(leaves, maps, f"state op {i}", lambda labels: cands)
         except NotInvariantError:
             skipped.append(op)
             continue

@@ -130,17 +130,22 @@ def test_a_walk_that_drops_a_step_is_refused(monkeypatch):
 
 
 @pytest.mark.parametrize("word, message", [
-    # no state operator: the full chain counts dimensions after each split
-    ("aaabbc", "C\\(2\\) eigenspace dimensions sum to 38, expected 60"),
+    # no state operator: with no second row open, only the one-row leaf is left
+    ("aaabbc", "span 1 of the orbit's 60 dimensions"),
     # the default swap is queued: the chain stops at the row leaves, and the
     # carried pieces must span the orbit
     ("aabbcd", "span 1 of the orbit's 180 dimensions"),
 ])
 def test_a_chain_split_that_misses_a_candidate_is_refused(word, message, monkeypatch):
-    real = solver._corner_contents
-    monkeypatch.setattr(solver, "_corner_contents", lambda leaf: real(leaf)[:-1])
+    real = solver.corner_contents
+    monkeypatch.setattr(solver, "corner_contents", lambda contents: real(contents)[:-1])
+    # the missed eigenspace is a remainder, and the chain keeps none in
+    # either mode, so only resolve's span count can see the loss
+    basis = make_basis(word)
+    for rows_only in (False, True):
+        assert not any(leaf.remainder for leaf in solver._chain(basis, rows_only))
     with pytest.raises(InternalCheckError, match=message):
-        resolve(make_basis(word))
+        resolve(basis)
 
 
 def test_a_carried_piece_that_loses_rank_is_refused(monkeypatch):

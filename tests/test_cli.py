@@ -320,6 +320,16 @@ def test_bad_ordering_file_exits_one(tmp_path, capsys):
     assert "ordering is not a permutation of orbit" in err
 
 
+def test_ordering_file_with_a_byte_order_mark_reads_like_the_plain_file(tmp_path, capsys):
+    bom = tmp_path / "bom.ord"
+    with open(ORDER_FILE, "rb") as handle:
+        bom.write_bytes(b"\xef\xbb\xbf" + handle.read())
+    args = ["basis", "--config", "abc", "--format", "json", "--order"]
+    plain = run_cli(args + [ORDER_FILE], capsys)
+    assert plain[0] == 0
+    assert run_cli(args + [str(bom)], capsys) == plain
+
+
 def test_missing_ordering_file_exits_one(capsys):
     code, out, err = run_cli(["basis", "--config", "aab", "--order", "/nonexistent.ord"], capsys)
     assert code == 1

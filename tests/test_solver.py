@@ -259,10 +259,10 @@ def test_resolve_deterministic():
 
 def test_pruning_a_branching_corner_trips_the_dimension_check(monkeypatch):
     # the C(k) candidates come from the addable corners of the leaf's shape;
-    # dropping one corner loses an eigenspace, which the dimension count catches
-    real = solver.addable_corners
-    monkeypatch.setattr(solver, "addable_corners", lambda shape: real(shape)[:-1])
-    with pytest.raises(InternalCheckError, match="eigenspace dimensions sum"):
+    # dropping one corner loses an eigenspace, which the span count catches
+    real = solver.corner_contents
+    monkeypatch.setattr(solver, "corner_contents", lambda contents: real(contents)[:-1])
+    with pytest.raises(InternalCheckError, match="span 1 of the orbit's 3 dimensions"):
         resolve(make_basis("aab"))
 
 
@@ -384,7 +384,7 @@ def test_leaves_are_canonical_and_remainders_match_intersect():
     basis = make_basis("abcd")
     chain = chain_reference(basis)
     maps = state_maps([(0, 1), (1, 2), (2, 3)], basis)
-    leaves = solver._refine(chain, maps, "path", lambda leaf: range(3, -4, -1))
+    leaves = solver._refine(chain, maps, "path", lambda labels: range(3, -4, -1))
     for leaf in leaves:
         space = leaf.space
         canon = from_rows(space.ambient, space.rows)
@@ -417,10 +417,10 @@ def test_refine_leaves_the_partition_as_it_was_when_a_later_leaf_fails():
         return [(id(leaf), leaf.space.rows, leaf.labels, leaf.remainder) for leaf in leaves]
 
     before = state()
-    first = solver._refine(leaves[:1], [(1, 0)], "swap", lambda leaf: (1, -1))
+    first = solver._refine(leaves[:1], [(1, 0)], "swap", lambda labels: (1, -1))
     assert [leaf.labels for leaf in first] == [(7, 1)]
     with pytest.raises(NotInvariantError):
-        solver._refine(leaves, [(1, 0)], "swap", lambda leaf: (1, -1))
+        solver._refine(leaves, [(1, 0)], "swap", lambda labels: (1, -1))
     assert state() == before
 
 

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import accumulate
 
 import pytest
@@ -6,6 +7,7 @@ from symadapt.young import (
     StandardTableau,
     addable_corners,
     chain_contents,
+    corner_contents,
     reads_by_rows,
     rows_from_contents,
     spectrum,
@@ -122,6 +124,23 @@ def test_only_the_row_tableau_has_contents_that_never_rise_by_two():
                 assert reads_by_rows(contents) == ([x for row in rows for x in row] == list(range(1, n + 1)))
                 seen += 1
     assert seen == 351
+
+
+def test_corner_contents_is_the_branching_rule():
+    # over the 351 standard tableaux of at most 7 boxes: box k+1 sits at a
+    # corner that corner_contents lists for the first k contents, and every
+    # k-box tableau (the empty one included) grows in exactly as many ways
+    by_size = {0: [()]}
+    for n in range(1, 8):
+        by_size[n] = [_contents(rows) for shape in partitions_of(n) for rows in standard_tableaux(shape)]
+    assert sum(map(len, by_size.values())) == 352
+    for k in range(7):
+        grown = Counter(contents[:-1] for contents in by_size[k + 1])
+        for contents in by_size[k]:
+            corners = corner_contents(contents)
+            assert corners == sorted(corners, reverse=True)
+            assert grown[contents] == len(corners)
+        assert all(contents[-1] in corner_contents(contents[:-1]) for contents in by_size[k + 1])
 
 
 def test_standard_tableaux_oracle_agrees_with_hook_counts():
