@@ -138,20 +138,15 @@ def act_state(s: Permutation, word: Sequence[int]) -> Word:
 
 class OrbitBasis:
     """The ordered particle-action orbit of a configuration: ``configs``
-    lists every distinct rearrangement of ``seed`` once, or is refused.
-    ``_maps`` holds the ket map of every permutation that
-    operators.element_maps maps on this basis, so each is built once and
-    dies with it.
-    """
+    lists every distinct rearrangement of ``seed`` once, or is refused."""
 
-    __slots__ = ("alphabet", "seed", "configs", "_index", "_maps")
+    __slots__ = ("alphabet", "seed", "configs", "_index")
 
     def __init__(self, alphabet: StateAlphabet, seed: Word, configs: Sequence[Word]):
         self.alphabet = alphabet
         self.seed = tuple(seed)
         self.configs = tuple(tuple(w) for w in configs)
         self._index = {w: i for i, w in enumerate(self.configs)}
-        self._maps: dict[Permutation, tuple[int, ...]] = {}
         letters = sorted(self.seed)
         size = factorial(len(letters)) // prod(map(factorial, Counter(letters).values()))
         if (len(self._index) != len(self.configs) or len(self.configs) != size

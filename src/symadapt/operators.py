@@ -26,16 +26,8 @@ def ket_map(p: Permutation, basis: OrbitBasis) -> tuple[int, ...]:
 
 
 def element_maps(perms: Sequence[Permutation], basis: OrbitBasis) -> list[tuple[int, ...]]:
-    """Ket maps of permutations.  The maps are kept on the basis, so each
-    permutation is mapped once per basis."""
-    memo = basis._maps
-    out = []
-    for p in perms:
-        sigma = memo.get(p)
-        if sigma is None:
-            sigma = memo[p] = ket_map(p, basis)
-        out.append(sigma)
-    return out
+    """Ket maps of permutations, one ket_map per permutation."""
+    return [ket_map(p, basis) for p in perms]
 
 
 def jm_maps(j: int, basis: OrbitBasis) -> list[tuple[int, ...]]:

@@ -73,7 +73,8 @@ class LabelChain:
 class LabeledVector:
     """One symmetry-adapted basis vector with exact radical coefficients.
 
-    Stored: the eigenvalue chain and the coefficients.  The actual
+    Stored: the eigenvalue chain, the coefficients and norm_sq, which
+    CGTable holds equal to the coefficients' sum of squares.  The actual
     coefficient on basis ket i is coeffs[i] / sqrt(norm_sq); coeffs is
     primitive (gcd 1) with its first nonzero entry positive.  Derived: the
     standard tableau, decoded from chain.nu, so it is always the one the

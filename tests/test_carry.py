@@ -1,6 +1,7 @@
 """State operators split one row leaf per shape; _carry takes the split to
 the shape's other leaves.  With a state operator queued, the chain builds
-only the row leaves.  resolve must equal resolve_reference, which refines
+only the row leaves; with none, the row leaves carried whole give the full
+chain's leaves.  resolve must equal resolve_reference, which refines
 every chain leaf, and Subspace.from_rows must equal the kernel of the
 kernel."""
 import random
@@ -42,7 +43,7 @@ def words(max_n):
                     parts.append(1)
                 else:
                     parts[-1] += 1
-            yield "".join("abcdef"[i] * m for i, m in enumerate(parts))
+            yield "".join("abcdefg"[i] * m for i, m in enumerate(parts))
 
 
 def outcome(resolver, basis, ops):
@@ -113,6 +114,23 @@ def test_a_queued_swap_that_never_applies_still_carries(word, shapes, monkeypatc
     assert (table.state_ops, table.skipped_state_ops) == ((), ())
     assert carried == [shapes]
     assert table.vectors == resolve_reference(basis).vectors
+
+
+# every word of n <= 7 whose multiplicities are pairwise distinct, plus
+# (5, 2, 1) and (4, 3, 1), at 168 and 280 kets
+DISTINCT = [w for w in words(7) if len(set(map(w.count, set(w)))) == len(set(w))] + ["aaaaabbc", "aaaabbbc"]
+
+
+@pytest.mark.parametrize("word", DISTINCT)
+def test_the_carry_builds_the_full_chain_without_a_state_operator(word):
+    # resolve runs the carry only when a state operator is queued; on every
+    # other word the row leaves carried whole must still give every leaf
+    basis = make_basis(word)
+
+    def fields(leaves):
+        return sorted((leaf.labels, leaf.space.rows, leaf.space.pivots) for leaf in leaves)
+
+    assert fields(solver._carry(solver._chain(basis, rows_only=True), basis)) == fields(solver._chain(basis))
 
 
 def test_no_state_operator_runs_no_carry(monkeypatch):
