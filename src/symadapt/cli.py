@@ -19,7 +19,7 @@ import os
 import sys
 
 from .configs import OrbitBasis, StateAlphabet, alphabet_for, orbit, parse_ordering
-from .operators import class_maps, maps_to_matrix, normalize_state_pairs, state_maps
+from .operators import class_maps, maps_to_matrix, state_maps
 from .solver import CGTable, StateOp, resolve, verify_table
 from .young import spectrum
 
@@ -48,13 +48,14 @@ def parse_state_ops(text: str, alphabet: StateAlphabet) -> list[list[tuple[int, 
     return ops
 
 
-def read_inputs(args: argparse.Namespace) -> tuple[OrbitBasis, list[StateOp] | None]:
-    """The orbit basis and the checked state operators of one invocation.
+def read_inputs(args: argparse.Namespace) -> tuple[OrbitBasis, list[list[tuple[int, int]]] | None]:
+    """The orbit basis and the parsed state operators of one invocation.
 
     Inputs are checked in a fixed order, before any output, so a run with
     several bad inputs always names the same one: alphabet, word, --order
     file, --state-ops syntax, the orbit, then the operators' multiplicities
-    on that orbit."""
+    on that orbit, which their first user (the --verbose dump or resolve)
+    checks."""
     alphabet = (
         StateAlphabet.from_text(args.alphabet) if args.alphabet else alphabet_for(args.config)
     )
@@ -70,8 +71,6 @@ def read_inputs(args: argparse.Namespace) -> tuple[OrbitBasis, list[StateOp] | N
     basis = orbit(word, alphabet)
     if ordering is not None:
         basis = basis.with_ordering(ordering)
-    if state_ops is not None:
-        state_ops = [normalize_state_pairs(op, basis) for op in state_ops]
     return basis, state_ops
 
 
@@ -84,10 +83,12 @@ def _dump_operator(maps, dim: int, label: str) -> None:
 
 
 def _dump_operators(basis: OrbitBasis, state_ops) -> None:
+    # state_maps checks each operator, so a bad one is refused before any dump
+    op_maps = [state_maps(op, basis) for op in state_ops or ()]
     for k in range(2, basis.degree + 1):
         _dump_operator(class_maps(k, basis), len(basis), f"C({k})")
-    for i, op in enumerate(state_ops or ()):
-        _dump_operator(state_maps(op, basis), len(basis), f"state_op_{i}")
+    for i, maps in enumerate(op_maps):
+        _dump_operator(maps, len(basis), f"state_op_{i}")
 
 
 # ----------------------------- rendering -----------------------------

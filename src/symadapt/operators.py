@@ -75,18 +75,12 @@ def normalize_state_pairs(pairs: Sequence[Sequence[int]], basis: OrbitBasis) -> 
     return tuple(out)
 
 
-def state_map(pair: StatePair, basis: OrbitBasis) -> tuple[int, ...]:
-    """Index map of one state transposition acting on the orbit."""
-    s, t = pair
-    m = len(basis.alphabet)
-    images = list(range(1, m + 1))
-    images[s], images[t] = t + 1, s + 1
-    swap = Permutation(images)
-    return tuple(basis.index_of(act_state(swap, w)) for w in basis)
-
-
 def state_maps(pairs: Sequence[Sequence[int]], basis: OrbitBasis) -> list[tuple[int, ...]]:
-    return [state_map(pair, basis) for pair in normalize_state_pairs(pairs, basis)]
+    """Index maps of a state operator's transpositions acting on the orbit,
+    checked first by normalize_state_pairs."""
+    m = len(basis.alphabet)
+    swaps = [transposition(s + 1, t + 1, m) for s, t in normalize_state_pairs(pairs, basis)]
+    return [tuple(basis.index_of(act_state(swap, w)) for w in basis) for swap in swaps]
 
 
 def maps_to_matrix(maps: Sequence[tuple[int, ...]], dim: int) -> tuple[tuple[int, ...], ...]:
@@ -118,7 +112,6 @@ __all__ = [
     "jm_maps",
     "class_maps",
     "normalize_state_pairs",
-    "state_map",
     "state_maps",
     "maps_to_matrix",
     "apply_maps",

@@ -488,7 +488,8 @@ def verify_table(table: CGTable) -> VerifyReport:
     empty record reads as u = 0.
 
     Why this replaces the C(k) eigen-equations and the generator block
-    check: say every s_a map is an involution and every vector passes.
+    check: say the s_a maps pass representation_property, whose m = 1
+    case makes each an involution, and every vector passes.
     X(2) = s_1 and c_2 = r = +-1, so X(2) c = c_2 c.  If X(a) c = c_a c
     for every vector, X(a+1) = s_a X(a) s_a + s_a gives X(a+1) c =
     c_{a+1} c: for |r| = 1 from s_a c = r c, for |r| >= 2 from
@@ -496,12 +497,13 @@ def verify_table(table: CGTable) -> VerifyReport:
     and so every C(k) = X(2) + ... + X(k), has its recorded eigenvalue,
     and s_a keeps each (shape, state-label) block.
 
-    Orthogonality is read off the spectrum: with every map an involution
-    the operators are symmetric, so vectors that pass unit_norm,
-    eigen_equations and young_orthogonal_form with different records are
-    orthogonal, and only record mates and short-record vectors (remainder
-    leaves) are dotted.  Otherwise, or when a dot taken is not 0 (Bessel
-    proves membership only over orthogonal mates), every pair is dotted.
+    Orthogonality is read off the spectrum: when representation_property
+    passes and every state map is an involution, the operators are
+    symmetric, so vectors that pass unit_norm, eigen_equations and
+    young_orthogonal_form with different records are orthogonal, and only
+    record mates and short-record vectors (remainder leaves) are dotted.
+    Otherwise, or when a dot taken is not 0 (Bessel proves membership only
+    over orthogonal mates), every pair is dotted.
     The maps of the s_a define a representation of S_n exactly when they
     satisfy the Coxeter relations (s_a s_b)^m = 1, m = 1, 3 or 2 for
     b = a, a + 1 or farther; what holds for the generators then holds for
@@ -527,15 +529,23 @@ def verify_table(table: CGTable) -> VerifyReport:
     generators = [transposition(a, a + 1, n) for a in range(1, n)]
     s_maps = element_maps(generators, basis)
     relations = [(i, str(generators[a - 1])) for i, a in _failed_relations(table, s_maps)]
+    broken = []
+    for a, sa in enumerate(s_maps):
+        for b in range(a, n - 1):
+            walk = range(d)
+            # m = 1, 3 or 2 for b = a, a + 1 or farther
+            for _ in range({0: 1, 1: 3}.get(b - a, 2)):
+                walk = [sa[s_maps[b][t]] for t in walk]
+            if walk != list(range(d)):
+                broken.append((str(generators[a]), str(generators[b])))
 
     def nonorthogonal(partners) -> list[tuple[int, int]]:
         return [(i, j) for i in range(m) for j in partners(i)
                 if dot(vecs[i].coeffs, vecs[j].coeffs)]
 
     short = {i for i, v in enumerate(vecs) if len(v.chain.state_labels) < len(op_maps)}
-    spectral = not (bad_norm or failures or relations) and all(
-        sigma[s] == t for maps in [s_maps, *op_maps] for sigma in maps for t, s in enumerate(sigma)
-    )
+    spectral = not (bad_norm or failures or relations or broken) and all(
+        sigma[s] == t for maps in op_maps for sigma in maps for t, s in enumerate(sigma))
     bad_pairs = []
     if spectral:
         bad_pairs = nonorthogonal(
@@ -555,15 +565,6 @@ def verify_table(table: CGTable) -> VerifyReport:
             "completeness", "WARN",
             f"{len(table.unlabeled)} of {m} vectors left unlabeled (flagged residue)")
 
-    broken = []
-    for a, sa in enumerate(s_maps):
-        for b in range(a, n - 1):
-            walk = range(d)
-            # m = 1, 3 or 2 for b = a, a + 1 or farther
-            for _ in range({0: 1, 1: 3}.get(b - a, 2)):
-                walk = [sa[s_maps[b][t]] for t in walk]
-            if walk != list(range(d)):
-                broken.append((str(generators[a]), str(generators[b])))
     checks = [
         _verdict("unit_norm", bad_norm, f"vectors {bad_norm} break the normalization contract"),
         _verdict("orthogonality", bad_pairs, f"non-orthogonal pairs {bad_pairs[:5]}"),

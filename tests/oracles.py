@@ -10,12 +10,13 @@ form, Fraction Parseval sums instead of integer block sums, C(k) and X(j)
 applied term by term, maps of composed permutations instead of Coxeter
 relations, dense C(k) eigenspaces instead of the Jucys-Murphy chain's
 leaves, every integer in [-(j - 1), j - 1] tried as an X(j) eigenvalue
-instead of the addable-corner contents (chain_reference), state
-operators refined on every chain leaf instead of carried from each
-shape's row leaf (resolve_reference), every equal-multiplicity state
-swap tried in turn instead of only the pairwise-disjoint ones
-(trial_state_ops), and a span as the kernel of its kernel instead of one
-elimination (span_reference).
+instead of the addable-corner contents (chain_reference), Young
+symmetrizers on semistandard kets instead of the pruned chain's row
+leaves (row_leaves_reference), state operators refined on every chain
+leaf instead of carried from each shape's row leaf
+(resolve_reference), every equal-multiplicity state swap tried in turn
+instead of only the pairwise-disjoint ones (trial_state_ops), and a span
+as the kernel of its kernel instead of one elimination (span_reference).
 
 The dense representation lives here too.  The package holds every
 operator as ket maps and every subspace as integer rows; the tests check
@@ -699,6 +700,65 @@ def chain_reference(basis) -> list[_Leaf]:
         cands = tuple(range(j - 1, -j, -1))
         leaves = _refine(leaves, jm_maps(j, basis), f"X({j})", lambda labels: cands)
     return leaves
+
+
+def _block_perms(blocks, n: int):
+    """Every permutation of positions 0..n-1 that keeps each block (a
+    tuple of positions) as a set, as (images, sign)."""
+    out = [(tuple(range(n)), 1)]
+    for block in blocks:
+        grown = []
+        for order in itertools.permutations(block):
+            inversions = sum(a > b for a, b in itertools.combinations(order, 2))
+            for images, sign in out:
+                images = list(images)
+                for src, dst in zip(block, order):
+                    images[src] = dst
+                grown.append((tuple(images), -sign if inversions % 2 else sign))
+        out = grown
+    return out
+
+
+def row_leaves_reference(basis) -> list[tuple[Subspace, tuple[int, ...]]]:
+    """Each shape's row leaf and its box contents, from Young symmetrizers
+    (James 1978) instead of the Jucys-Murphy chain.
+
+    The row tableau T of shape lambda holds 1..n row by row.  For each
+    ket w that fills T semistandardly (box i holds w's state i, rows weakly
+    increase, columns strictly), R C|w> is summed from plain tuples: C is
+    T's signed column sum, R its row sum, and a permutation sends the state
+    at position i to position images[i].  The leaf is the span of these
+    vectors; shapes come largest first part first, and a shape with no
+    such ket has no leaf."""
+    n, d = basis.degree, len(basis)
+    index = {w: i for i, w in enumerate(basis)}
+    out = []
+    for shape in partitions_of(n):
+        starts = list(itertools.accumulate((0,) + shape))
+        rows = [tuple(range(a, b)) for a, b in zip(starts, starts[1:])]
+        cols = [tuple(row[c] for row in rows if c < len(row)) for c in range(shape[0])]
+        contents = tuple(c - r for r, row in enumerate(rows) for c in range(len(row)))
+        row_perms = [images for images, _ in _block_perms(rows, n)]
+        col_perms = _block_perms(cols, n)
+        vectors = []
+        for w in basis:
+            if any(w[a] > w[b] for row in rows for a, b in zip(row, row[1:])) or any(
+                    w[a] >= w[b] for col in cols for a, b in zip(col, col[1:])):
+                continue
+            vec = [0] * d
+            for q, sign in col_perms:
+                qw = [0] * n
+                for i, x in enumerate(q):
+                    qw[x] = w[i]
+                for p in row_perms:
+                    pqw = [0] * n
+                    for i, x in enumerate(p):
+                        pqw[x] = qw[i]
+                    vec[index[tuple(pqw)]] += sign
+            vectors.append(vec)
+        if vectors:
+            out.append((Subspace.from_rows(d, vectors), contents))
+    return out
 
 
 def resolve_reference(basis, state_ops=None) -> CGTable:

@@ -17,7 +17,7 @@ from symadapt.solver import InternalCheckError, resolve
 from symadapt.young import reads_by_rows, rows_from_contents
 
 from helpers import make_basis
-from oracles import resolve_reference, span_reference
+from oracles import resolve_reference, row_leaves_reference, span_reference
 
 # the default policy, single and chained swaps, the path sum whose
 # irrational remainders are carried, a class sum after a swap, a skipped
@@ -97,6 +97,16 @@ def test_the_pruned_chain_builds_exactly_the_row_leaves(word):
 
     rows = [leaf for leaf in solver._chain(basis) if reads_by_rows(leaf.labels)]
     assert fields(solver._chain(basis, rows_only=True)) == fields(rows)
+
+
+@pytest.mark.parametrize("word", [*words(6), "aabbccd"])
+def test_young_symmetrizers_give_the_pruned_chains_row_leaves(word):
+    # an independent construction: R C|w> over the kets w that fill the row
+    # tableau semistandardly, built from plain tuples (row_leaves_reference)
+    basis = make_basis(word)
+    leaves = solver._chain(basis, rows_only=True)
+    assert [(leaf.space.rows, leaf.space.pivots, leaf.labels) for leaf in leaves] == [
+        (space.rows, space.pivots, contents) for space, contents in row_leaves_reference(basis)]
 
 
 # one row leaf per shape of at most two rows: (4), (3, 1), (2, 2) for aabb

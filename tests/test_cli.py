@@ -352,15 +352,17 @@ def test_orbit_escaping_state_op_exits_one(capsys):
 
 @pytest.mark.parametrize("command", ["basis", "verify"])
 def test_verbose_refuses_a_bad_state_op_before_any_dump(command, capsys):
-    code, out, err = run_cli(
-        [command, "--config", "aab", "--state-ops", "(a b)", "--verbose"], capsys
-    )
-    assert code == 1
-    assert out == ""
-    assert err == (
-        "error: state swap (a b) does not preserve the orbit: "
-        "multiplicity of a is 2 but multiplicity of b is 1\n"
-    )
+    # in the second list the bad operator is not the first one
+    for config, ops in [("aab", "(a b)"), ("aabc", "(b c),(a b)")]:
+        code, out, err = run_cli(
+            [command, "--config", config, "--state-ops", ops, "--verbose"], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: state swap (a b) does not preserve the orbit: "
+            "multiplicity of a is 2 but multiplicity of b is 1\n"
+        )
 
 
 def test_bad_config_label_exits_one(capsys):
